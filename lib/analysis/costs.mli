@@ -66,7 +66,10 @@ module Obs : sig
       binding. *)
   val set : t -> string -> int -> unit
 
-  (** [add t k v] — add [v] to (prefixed) [k], treating unbound as 0. *)
+  (** [add t k v] — add [v] to (prefixed) [k], treating unbound as 0.
+      Each call builds the prefixed key (a string concatenation) and
+      hashes it twice, so a hot loop should count into local refs and
+      [add] each total once when it is done. *)
   val add : t -> string -> int -> unit
 
   (** Lookup by full (already-prefixed) key, ignoring the handle's own

@@ -161,14 +161,25 @@ let read_bytes_view r =
 
 let view_to_bytes v = Bytes.sub v.buf v.off v.len
 
+(* Eight bytes per step while a whole word is left on both sides, then the
+   tail byte by byte.  Native-endian loads are fine: only equality is
+   asked, never order. *)
 let view_equal_bytes v b =
   v.len = Bytes.length b
   &&
+  let words = v.len - (v.len land 7) in
   let k = ref 0 in
-  while !k < v.len && Bytes.unsafe_get v.buf (v.off + !k) = Bytes.unsafe_get b !k do
-    incr k
+  while !k < words && Bytes.get_int64_ne v.buf (v.off + !k) = Bytes.get_int64_ne b !k do
+    k := !k + 8
   done;
-  !k = v.len
+  !k >= words
+  &&
+  begin
+    while !k < v.len && Bytes.unsafe_get v.buf (v.off + !k) = Bytes.unsafe_get b !k do
+      incr k
+    done;
+    !k = v.len
+  end
 
 let reader_of_view v = { data = v.buf; pos = v.off; limit = v.off + v.len }
 

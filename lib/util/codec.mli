@@ -112,7 +112,10 @@ val read_bytes_view : reader -> view
 val view_to_bytes : view -> bytes
 
 (** [view_equal_bytes v b] — content equality against a byte string,
-    without materializing the view. *)
+    without materializing the view.  Compares eight bytes per step
+    (native-endian [int64] loads), then the [len mod 8] tail byte by
+    byte: O(len / 8) word compares, no allocation, and it stops at the
+    first differing word.  Unequal lengths answer [false] in O(1). *)
 val view_equal_bytes : view -> bytes -> bool
 
 (** [reader_of_view v] is [of_sub v.buf ~pos:v.off ~len:v.len]. *)

@@ -240,6 +240,153 @@ let test_gossip_warning_suppression_still_safe () =
       rest);
   checkb "ran" true (Array.length outs = n)
 
+(* ---- Golden pins: adversarial gossip traffic ----
+
+   The honest cost spec (test_costs) checks [encode_batch] byte for byte,
+   but only on batches whose kind bitmap is all zero.  These pins freeze
+   the exact accounting and per-party outcomes of runs whose batches mix
+   warnings and rumors, so any change to the batch encoder or to the
+   warning path shows up as a diff against fixed values. *)
+
+(* One char per party: ['A'] for an abort, ['.'] for an output; then the
+   first 16 hex digits of the SHA-256 over every output's (origin, value)
+   pairs, in party order. *)
+let outcome_fingerprint outs =
+  let pattern =
+    String.init (Array.length outs) (fun i -> if Mpc.Outcome.is_abort outs.(i) then 'A' else '.')
+  in
+  let ctx = Crypto.Sha256.init () in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Mpc.Outcome.Abort _ -> ()
+      | Mpc.Outcome.Output rumors ->
+        List.iter
+          (fun (origin, v) ->
+            Crypto.Sha256.update_string ctx (Printf.sprintf "%d:%d:%d:" i origin (Bytes.length v));
+            Crypto.Sha256.update ctx v)
+          rumors)
+    outs;
+  (pattern, String.sub (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)) 0 16)
+
+type pin = {
+  wire : string;  (** SHA-256 prefix over every sent (src, dst, payload) *)
+  bits : int;
+  messages : int;
+  rounds : int;
+  locality : int;
+  aborts : string;
+  outputs : string;
+}
+
+(* Circulant graph on offsets ±1 and ±3: degree 4 and diameter about n/8,
+   so rumors and warnings travel many hops and share batches on the way. *)
+let circulant n =
+  Array.init n (fun i ->
+      Util.Iset.of_list (List.map (fun d -> (i + d + n) mod n) [ -3; -1; 1; 3 ]))
+
+let run_pinned ~n ~h ~corruption_seed ~adv_of =
+  let graph = circulant n in
+  let corruption = Netsim.Corruption.random (Util.Prng.create corruption_seed) ~n ~h in
+  (* The default lockstep transport, with every submitted message hashed. *)
+  let sync = Netsim.Transport.sync_dense ~n in
+  let wire = Crypto.Sha256.init () in
+  let submit ~src ~dst payload =
+    Crypto.Sha256.update_string wire (Printf.sprintf "%d>%d:%d:" src dst (Bytes.length payload));
+    Crypto.Sha256.update wire payload;
+    sync.Netsim.Transport.submit ~src ~dst payload
+  in
+  let net = Netsim.Net.create ~transport:{ sync with submit } n in
+  let rng = Util.Prng.create (corruption_seed + 1) in
+  let sources = List.init n (fun i -> (i, Bytes.of_string (Printf.sprintf "value-%d" i))) in
+  let outs =
+    Mpc.Gossip.run net rng (params n h) ~graph ~sources ~corruption ~adv:(adv_of corruption)
+  in
+  let aborts, outputs = outcome_fingerprint outs in
+  {
+    wire = String.sub (Crypto.Sha256.to_hex (Crypto.Sha256.finalize wire)) 0 16;
+    bits = Netsim.Net.total_bits net;
+    messages = Netsim.Net.messages_sent net;
+    rounds = Netsim.Net.rounds net;
+    locality = Netsim.Net.max_locality net;
+    aborts;
+    outputs;
+  }
+
+let check_pin name expected got =
+  if Sys.getenv_opt "PRINT_PINS" <> None then
+    Printf.printf "%s: wire=%S bits=%d messages=%d rounds=%d locality=%d aborts=%S outputs=%S\n%!"
+      name got.wire got.bits got.messages got.rounds got.locality got.aborts got.outputs;
+  Alcotest.(check string) (name ^ " wire digest") expected.wire got.wire;
+  checki (name ^ " bits") expected.bits got.bits;
+  checki (name ^ " messages") expected.messages got.messages;
+  checki (name ^ " rounds") expected.rounds got.rounds;
+  checki (name ^ " max locality") expected.locality got.locality;
+  Alcotest.(check string) (name ^ " abort pattern") expected.aborts got.aborts;
+  Alcotest.(check string) (name ^ " outputs digest") expected.outputs got.outputs
+
+let test_pin_equivocate () =
+  check_pin "equivocate"
+    {
+      wire = "2505eaf5fc917988";
+      bits = 284352;
+      messages = 968;
+      rounds = 7;
+      locality = 4;
+      aborts = "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
+      outputs = "e3b0c44298fc1c14";
+    }
+    (run_pinned ~n:64 ~h:56 ~corruption_seed:5 ~adv_of:(fun _ -> Mpc.Attacks.gossip_equivocate))
+
+let test_pin_forge () =
+  check_pin "forge"
+    {
+      wire = "c188e09303f9180b";
+      bits = 685888;
+      messages = 1816;
+      rounds = 13;
+      locality = 4;
+      aborts = "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
+      outputs = "e3b0c44298fc1c14";
+    }
+    (run_pinned ~n:64 ~h:48 ~corruption_seed:7 ~adv_of:(fun corruption ->
+         Mpc.Attacks.gossip_forge
+           ~origin:(List.hd (Netsim.Corruption.honest_list corruption))
+           ~value:(Bytes.of_string "forged")))
+
+let test_pin_drop () =
+  let adv =
+    {
+      Mpc.Gossip.honest_adv with
+      Mpc.Gossip.drop = Some (fun ~me ~origin ~dst -> (me + origin + dst) mod 3 <> 0);
+    }
+  in
+  check_pin "drop"
+    {
+      wire = "33e8fc0dbcaf0e1c";
+      bits = 903712;
+      messages = 4066;
+      rounds = 26;
+      locality = 4;
+      aborts = "................................................................";
+      outputs = "b93845cafd5139a0";
+    }
+    (run_pinned ~n:64 ~h:32 ~corruption_seed:11 ~adv_of:(fun _ -> adv))
+
+let test_pin_suppress_warnings () =
+  let adv = { Mpc.Attacks.gossip_equivocate with Mpc.Gossip.spread_warning = false } in
+  check_pin "no spread_warning"
+    {
+      wire = "00e045860c1591a0";
+      bits = 431776;
+      messages = 1260;
+      rounds = 9;
+      locality = 4;
+      aborts = "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
+      outputs = "e3b0c44298fc1c14";
+    }
+    (run_pinned ~n:64 ~h:60 ~corruption_seed:9 ~adv_of:(fun _ -> adv))
+
 let () =
   Alcotest.run "sparse_gossip"
     [
@@ -259,5 +406,12 @@ let () =
           Alcotest.test_case "equivocation safe" `Quick test_gossip_equivocation_aborts;
           Alcotest.test_case "forged conflict" `Quick test_gossip_forged_conflict_detected;
           Alcotest.test_case "warning suppression" `Quick test_gossip_warning_suppression_still_safe;
+        ] );
+      ( "gossip_pins",
+        [
+          Alcotest.test_case "equivocate" `Quick test_pin_equivocate;
+          Alcotest.test_case "forge" `Quick test_pin_forge;
+          Alcotest.test_case "drop" `Quick test_pin_drop;
+          Alcotest.test_case "no spread_warning" `Quick test_pin_suppress_warnings;
         ] );
     ]

@@ -505,6 +505,57 @@ let codec_prop_views_equiv =
       let ok_write = Bytes.equal reenc (Bytes.cat b1 b2) in
       ok_contents && ok_reader && ok_decode && ok_write && Util.Codec.at_end r)
 
+(* [view_equal_bytes] against [Bytes.equal] on the copied window.  Views
+   start at arbitrary (mostly unaligned) offsets inside a larger buffer;
+   lengths 0-40 cover every [len mod 8]; the compared string either
+   equals the window, differs from it in exactly one byte — placed in the
+   first word, a middle word or the [len mod 8] tail — or has a
+   different length. *)
+let codec_prop_view_equal_oracle =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (((off, len), (extra, where)), (pick, (flip, seed))) ->
+          (off, len, extra, where, pick, flip, seed))
+        (pair
+           (pair (pair (0 -- 17) (0 -- 40)) (pair (0 -- 9) (0 -- 4)))
+           (pair nat (pair (1 -- 255) nat))))
+  in
+  let print (off, len, extra, where, pick, flip, seed) =
+    Printf.sprintf "off=%d len=%d extra=%d where=%d pick=%d flip=%d seed=%d" off len extra where
+      pick flip seed
+  in
+  QCheck.Test.make ~name:"view_equal_bytes = Bytes.equal on the window" ~count:3000
+    (QCheck.make ~print gen)
+    (fun (off, len, extra, where, pick, flip, seed) ->
+      let rng = Util.Prng.create seed in
+      let buf = Bytes.init (off + len + extra) (fun _ -> Char.chr (Util.Prng.int rng 256)) in
+      let window = Bytes.sub buf off len in
+      let v = { Util.Codec.buf; off; len } in
+      let words = len - (len land 7) in
+      (* Flips one byte in [lo, hi), or anywhere when that region is empty
+         (only the empty window stays unflipped). *)
+      let flip_in lo hi =
+        let lo, hi = if hi > lo then (lo, hi) else (0, len) in
+        let b = Bytes.copy window in
+        (if hi > lo then
+           let k = lo + (pick mod (hi - lo)) in
+           Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lxor flip)));
+        b
+      in
+      let other =
+        match where with
+        | 0 -> Bytes.copy window
+        | 1 -> flip_in 0 (min 8 len)
+        | 2 -> flip_in 8 words
+        | 3 -> flip_in words len
+        | _ ->
+          (* One byte longer or shorter, sharing the window's prefix. *)
+          if len > 0 && pick land 1 = 0 then Bytes.sub window 0 (len - 1)
+          else Bytes.cat window (Bytes.make 1 (Char.chr flip))
+      in
+      Util.Codec.view_equal_bytes v other = Bytes.equal window other)
+
 (* ---- sample_into ≡ sample_without_replacement ---- *)
 
 let prop_sample_into_matches_list =
@@ -738,6 +789,7 @@ let () =
           QCheck_alcotest.to_alcotest codec_prop_slice_reader_equiv;
           QCheck_alcotest.to_alcotest codec_prop_slice_reader_bounds;
           QCheck_alcotest.to_alcotest codec_prop_views_equiv;
+          QCheck_alcotest.to_alcotest codec_prop_view_equal_oracle;
         ] );
       ( "pool",
         [
