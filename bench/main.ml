@@ -295,9 +295,8 @@ let e1_async () =
   async_rounds_table rows;
   List.map fst rows
 
-(* One huge-tier E1 row, shared verbatim by [e1_huge] and the dist job
-   fleet ("bench.e1") — byte-identity of the records at any --workers
-   count is by construction. *)
+(* One huge-tier E1 row: the full tier's h = n/4 series and seed, with
+   its rounds sharded over [pool]. *)
 let e1_row ?pool n =
   let h = n / 4 in
   let (net, predicted), wall_ms = timed (run_alg3 ?pool ~n ~h ~seed:n) in
@@ -1211,9 +1210,8 @@ let e9_async () =
   async_rounds_table flat;
   List.map fst flat
 
-(* One huge-tier E9 row, shared verbatim by [e9_huge] and the dist
-   paths (the naive sessions through Dist.run_program and the
-   "bench.e9fp" job fleet) — same keys, same seeds, same counters. *)
+(* One huge-tier E9 row: honest all-to-all over 64-byte inputs, with
+   its rounds sharded over [pool]. *)
 let e9_row ?pool ~n name variant =
   let params = Mpc.Params.make ~n ~h:(n / 2) ~lambda:8 ~alpha:2 () in
   let corruption = Netsim.Corruption.none ~n in
@@ -2242,235 +2240,6 @@ let soak () =
   []
 
 (* ------------------------------------------------------------------ *)
-(* dist-serve — multi-process session serving (--workers N)            *)
-(* ------------------------------------------------------------------ *)
-
-(* The worker fleet, created in main() BEFORE the domain pool (forking a
-   multi-domain OCaml runtime is undefined) and only when
-   [--only dist-serve --workers N>0] asks for it. *)
-let dist_engine : Netsim.Dist.t option ref = ref None
-let dist_workers = ref 0
-let dist_crash = ref None (* --crash-schedule S *)
-
-(* Domains available to each worker's inner pool: the --jobs budget
-   split across the fleet.  Set before the fork so children inherit it;
-   each worker lazily creates (and caches) its own pool — domains must
-   never exist in the pre-fork image. *)
-let dist_inner_jobs = ref 0
-let dist_worker_pool : (int * Util.Pool.t) option ref = ref None
-
-let dist_job_pool () =
-  let inner = !dist_inner_jobs in
-  if inner <= 0 then None
-  else
-    match !dist_worker_pool with
-    | Some (d, p) when d = inner -> Some p
-    | _ ->
-      let p = Util.Pool.create ~num_domains:inner () in
-      dist_worker_pool := Some (inner, p);
-      Some p
-
-(* Wire form of a run record for job results.  peak_rss_mb is filled by
-   [run_of_net] in the worker process, so the coordinator's report
-   carries genuine per-worker high-water marks. *)
-let encode_run w (r : Analysis.Bench_io.run) =
-  let open Util.Codec in
-  write_string w r.Analysis.Bench_io.experiment;
-  write_string w r.series;
-  write_varint w r.n;
-  write_varint w r.h;
-  write_varint w r.bits;
-  write_varint w r.messages;
-  write_varint w r.rounds;
-  write_int64 w (Int64.bits_of_float r.wall_ms);
-  write_option w (fun w s -> write_int64 w (Int64.of_int s)) r.seed;
-  write_option w (fun w f -> write_int64 w (Int64.bits_of_float f)) r.peak_rss_mb;
-  write_option w write_varint r.predicted_bits;
-  write_option w write_varint r.predicted_bits_lo;
-  write_option w write_varint r.predicted_messages;
-  write_option w write_varint r.predicted_rounds
-
-let decode_run r =
-  let open Util.Codec in
-  let experiment = read_string r in
-  let series = read_string r in
-  let n = read_varint r in
-  let h = read_varint r in
-  let bits = read_varint r in
-  let messages = read_varint r in
-  let rounds = read_varint r in
-  let wall_ms = Int64.float_of_bits (read_int64 r) in
-  let seed = read_option r (fun r -> Int64.to_int (read_int64 r)) in
-  let peak_rss_mb = read_option r (fun r -> Int64.float_of_bits (read_int64 r)) in
-  let predicted_bits = read_option r read_varint in
-  let predicted_bits_lo = read_option r read_varint in
-  let predicted_messages = read_option r read_varint in
-  let predicted_rounds = read_option r read_varint in
-  {
-    Analysis.Bench_io.experiment;
-    series;
-    n;
-    h;
-    bits;
-    messages;
-    rounds;
-    wall_ms;
-    seed;
-    peak_rss_mb;
-    predicted_bits;
-    predicted_bits_lo;
-    predicted_messages;
-    predicted_rounds;
-  }
-
-(* Job bodies run the exact huge-tier row helpers; the result frame
-   carries the row plus whether its cost-spec assertion tripped (the
-   flag lives per-process, so workers report and the coordinator ORs). *)
-let () =
-  let with_mismatch_flag f =
-    let before = !cost_mismatch in
-    cost_mismatch := false;
-    let row = f () in
-    let tripped = !cost_mismatch in
-    cost_mismatch := before || tripped;
-    Util.Codec.encode
-      (fun w () ->
-        Util.Codec.write_bool w tripped;
-        encode_run w row)
-      ()
-  in
-  Netsim.Dist.register_job "bench.e1" (fun args ->
-      let n = Util.Codec.decode Util.Codec.read_varint args in
-      with_mismatch_flag (fun () -> e1_row ?pool:(dist_job_pool ()) n));
-  Netsim.Dist.register_job "bench.e9fp" (fun args ->
-      let n = Util.Codec.decode Util.Codec.read_varint args in
-      with_mismatch_flag (fun () ->
-          e9_row ?pool:(dist_job_pool ()) ~n "fingerprinted 64B" Mpc.All_to_all.Fingerprinted));
-  Mpc.Dist_programs.register ()
-
-let e_dist_serve () =
-  let workers = !dist_workers in
-  section
-    (if workers > 0 then
-       Printf.sprintf "dist-serve  sessions over %d worker process%s" workers
-         (if workers = 1 then "" else "es")
-     else "dist-serve  in-process reference (--workers 0)");
-  Printf.printf
-    "naive all-to-all sessions shard their parties over the fleet via\n\
-     Dist.run_program (gathered sends replay through the in-process\n\
-     simulator in canonical order, so accounting is byte-identical at any\n\
-     --workers count), and the huge-tier E1/E9 rows run as jobs over the\n\
-     same fleet.  --diff against a --workers 0 report gates the identity.\n\n";
-  (* A --crash-schedule derives which worker dies, and when, from the
-     same keyed Faults machinery the soak runner uses: crash stages 1/2
-     map to the scatter of rounds 1/2 of the first session. *)
-  let crash_point =
-    match !dist_crash with
-    | Some s when workers > 0 ->
-      let faults =
-        Netsim.Faults.make (prng 0xD157) ~schedule:s ~n:workers
-          { Netsim.Faults.honest with crash = 1.0; crash_stage = 2 }
-      in
-      let w =
-        match
-          List.find_opt
-            (fun w -> Netsim.Faults.crashed faults ~me:w ~stage:2)
-            (List.init workers (fun w -> w))
-        with
-        | Some w -> w
-        | None -> 0
-      in
-      let r = if Netsim.Faults.crashed faults ~me:w ~stage:1 then 1 else 2 in
-      Printf.printf
-        "crash schedule %d: worker %d dies on the round-%d scatter of the first session\n\
-         and while running its first job; both recover by spare promotion + replay.\n\n"
-        s w r;
-      Some (w, r)
-    | _ -> None
-  in
-  let serve_row i n =
-    let args = Mpc.Dist_programs.encode_args ~len:64 ~info:"e9" in
-    let net = Netsim.Net.create n in
-    let crash = if i = 0 then crash_point else None in
-    let verdicts, wall_ms =
-      timed (fun () ->
-          match !dist_engine with
-          | Some t -> Netsim.Dist.run_program ?crash t ~name:"a2a.naive" ~n ~args ~net
-          | None -> Netsim.Dist.run_local ~name:"a2a.naive" ~n ~args ~net)
-    in
-    Array.iteri
-      (fun i v ->
-        if Util.Codec.read_varint (Util.Codec.reader v) <> 1 then
-          failwith (Printf.sprintf "dist-serve: party %d aborted in an honest session" i))
-      verdicts;
-    let predicted = a2a_totals ~variant:Mpc.All_to_all.Naive ~n ~len:64 net in
-    run_of_net ~predicted ~experiment:"E9" ~series:"naive 64B" ~n ~h:(n / 2) ~wall_ms net
-  in
-  let session_rows = List.mapi serve_row (pick ~full:[ 64; 128 ] ~reduced:[ 64 ]) in
-  let job_specs =
-    List.map (fun n -> ("bench.e1", n)) (pick ~full:[ 512; 1024; 2048 ] ~reduced:[ 512 ])
-    @ List.map (fun n -> ("bench.e9fp", n)) (pick ~full:[ 256; 512; 1024; 2048 ] ~reduced:[ 1024 ])
-  in
-  let job_rows =
-    match !dist_engine with
-    | Some t ->
-      let jobs =
-        List.map
-          (fun (name, n) ->
-            (name, Util.Codec.encode (fun w () -> Util.Codec.write_varint w n) ()))
-          job_specs
-      in
-      let crash_job = Option.map (fun (w, _) -> w mod List.length jobs) crash_point in
-      Netsim.Dist.run_jobs ?crash:crash_job t jobs
-      |> List.map (fun b ->
-             let tripped, row =
-               Util.Codec.decode
-                 (fun r ->
-                   let tripped = Util.Codec.read_bool r in
-                   (tripped, decode_run r))
-                 b
-             in
-             if tripped then cost_mismatch := true;
-             row)
-    | None ->
-      List.map
-        (fun (name, n) ->
-          if name = "bench.e1" then e1_row ?pool:!pool n
-          else e9_row ?pool:!pool ~n "fingerprinted 64B" Mpc.All_to_all.Fingerprinted)
-        job_specs
-  in
-  let rows = session_rows @ job_rows in
-  let t =
-    Analysis.Table.create ~title:"served rows (session + job)"
-      ~columns:[ "experiment"; "series"; "n"; "bits"; "wall ms"; "rss MB" ]
-  in
-  List.iter
-    (fun (r : Analysis.Bench_io.run) ->
-      Analysis.Table.add_row t
-        [ r.experiment; r.series; string_of_int r.n; fmt_bits r.bits;
-          Printf.sprintf "%.0f" r.wall_ms;
-          (match r.peak_rss_mb with Some f -> Printf.sprintf "%.0f" f | None -> "-") ])
-    rows;
-  Analysis.Table.print t;
-  (match !dist_engine with
-  | Some t ->
-    let stats = Netsim.Dist.stats t in
-    let tt =
-      Analysis.Table.create ~title:"worker fleet"
-        ~columns:[ "worker"; "pid"; "sessions"; "jobs"; "respawns"; "peak_rss_mb" ]
-    in
-    Array.iteri
-      (fun i (s : Netsim.Dist.stat) ->
-        Analysis.Table.add_row tt
-          [ string_of_int i; string_of_int s.pid; string_of_int s.sessions;
-            string_of_int s.jobs_run; string_of_int s.respawns;
-            (match s.peak_rss_mb with Some f -> Printf.sprintf "%.0f" f | None -> "-") ])
-      stats;
-    Analysis.Table.print tt
-  | None -> ());
-  rows
-
-(* ------------------------------------------------------------------ *)
 
 let experiments : (string * string * (unit -> Analysis.Bench_io.run list)) list =
   [
@@ -2501,9 +2270,6 @@ let extra_experiments : (string * string * (unit -> Analysis.Bench_io.run list))
     ( "cost-audit",
       "symbolic cost specs vs measured counters (+ n=10^4..10^6 extrapolation)",
       cost_audit );
-    ( "dist-serve",
-      "sessions + jobs over sharded worker processes (--workers N, --crash-schedule S)",
-      e_dist_serve );
   ]
 
 let all_experiments = experiments @ extra_experiments
@@ -2556,11 +2322,6 @@ let sweep_info : (string * string * string list) list =
     ( "cost-audit", "opt-in (--only cost-audit)",
       [ "14 honest executions, one per cost spec, phase tables + assertions";
         "closed-form extrapolation table at n = 10^4..10^6" ] );
-    ( "dist-serve", "opt-in (--only dist-serve)",
-      [ "sessions: naive a2a n in {64,128} via Dist.run_program (--quick: {64})";
-        "jobs: E1 n in {512..2048}, E9 fp n in {256..2048} over the fleet (--quick: 512 / 1024)";
-        "--workers N shards over N processes (0 = in-process reference);";
-        "--crash-schedule S kills one worker mid-round + mid-job, recovered by replay" ] );
   ]
 
 (* --audit FILE: re-check a saved report against the symbolic cost specs
@@ -2657,6 +2418,30 @@ let iso_date () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
+(* Every flag the CLI accepts, with the number of operands it takes. *)
+let flags =
+  [ ("--quick", 0); ("--huge", 0); ("--giant", 0); ("--async", 0); ("--list", 0);
+    ("--only", 1); ("--jobs", 1); ("--json", 1); ("--seed", 1); ("--schedules", 1);
+    ("--schedule", 1); ("--max-wall-s", 1); ("--max-rss-mb", 1); ("--audit", 1);
+    ("--diff", 2) ]
+
+(* Exit 1 on a [--flag] that is not in [flags], so a misspelled or
+   retired flag fails loudly instead of being ignored.  Operands of known
+   flags are skipped, whatever they look like. *)
+let reject_unknown_flags args =
+  let rec go = function
+    | [] -> ()
+    | a :: rest -> (
+      match List.assoc_opt a flags with
+      | Some k -> go (List.filteri (fun i _ -> i >= k) rest)
+      | None when String.starts_with ~prefix:"--" a ->
+        Printf.eprintf "error: unknown flag %S; valid flags: %s\n" a
+          (String.concat " " (List.map fst flags));
+        exit 1
+      | None -> go rest)
+  in
+  go args
+
 let find_arg args flag =
   let rec go = function
     | f :: v :: _ when f = flag -> Some v
@@ -2675,7 +2460,8 @@ let parse_jobs s =
       exit 1
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  reject_unknown_flags args;
   (* The protocol hot loops are allocation-heavy (one short-lived message,
      selection, and reader per pair), and in OCaml 5 every minor
      collection is a stop-the-world with real syscall cost.  A 8M-word
@@ -2756,26 +2542,10 @@ let () =
       base_seed := int_arg "--seed";
       soak_schedules := int_arg "--schedules";
       soak_schedule := int_arg "--schedule";
-      (dist_workers :=
-         match int_arg "--workers" with
-         | None -> 0
-         | Some w when w >= 0 -> w
-         | Some w ->
-           Printf.eprintf "error: --workers expects a non-negative integer, got %d\n" w;
-           exit 1);
-      dist_crash := int_arg "--crash-schedule";
       let json_path = find_arg args "--json" in
       let max_wall_s = Option.map float_of_string (find_arg args "--max-wall-s") in
       let max_rss_mb = Option.map float_of_string (find_arg args "--max-rss-mb") in
       let jobs = match find_arg args "--jobs" with None -> 1 | Some s -> parse_jobs s in
-      (* Fork the dist fleet BEFORE any domain exists — forking a
-         multi-domain OCaml runtime is undefined behavior.  Each worker
-         gets its share of the --jobs budget for a worker-local inner
-         pool (created lazily, post-fork). *)
-      if !dist_workers > 0 && find_arg args "--only" = Some "dist-serve" then begin
-        dist_inner_jobs := max 0 ((jobs - 1) / !dist_workers);
-        dist_engine := Some (Netsim.Dist.create ~workers:!dist_workers ())
-      end;
       if jobs > 1 then pool := Some (Util.Pool.create ~num_domains:(jobs - 1) ());
       let selected =
         match find_arg args "--only" with
@@ -2813,7 +2583,6 @@ let () =
       in
       let total_wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
       Option.iter Util.Pool.shutdown !pool;
-      Option.iter Netsim.Dist.shutdown !dist_engine;
       Printf.printf "\nall experiments done in %.1fs (jobs=%d)%s\n" (total_wall_ms /. 1000.0)
         jobs
         (match (!huge, !giant, !quick) with

@@ -162,6 +162,20 @@ let pct_delta ~before ~after =
 let speedup ~before ~after =
   if after <= 0.0 then "-" else Printf.sprintf "%.2fx" (before /. after)
 
+(* [f b a] for each run [b] of [before] whose key also appears in
+   [after] as [a], in [before]'s order. *)
+let iter_matched ~before ~after f =
+  let after_tbl = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace after_tbl (run_key r) r) after.runs;
+  List.iter (fun b -> Option.iter (f b) (Hashtbl.find_opt after_tbl (run_key b))) before.runs
+
+let matched_wall_ms ~before ~after =
+  let wb = ref 0.0 and wa = ref 0.0 in
+  iter_matched ~before ~after (fun b a ->
+      wb := !wb +. b.wall_ms;
+      wa := !wa +. a.wall_ms);
+  (!wb, !wa)
+
 let diff_table ~before ~after =
   (* Wall-clock comparisons between reports produced at different --jobs
      counts measure the parallel speedup, not a regression: label the
@@ -186,44 +200,37 @@ let diff_table ~before ~after =
   let rss_cell ~b ~a =
     match (b, a) with None, None -> "-" | _ -> Printf.sprintf "%s -> %s" (fmt_rss b) (fmt_rss a)
   in
-  let after_tbl = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace after_tbl (run_key r) r) after.runs;
   let matched = ref 0 and drifted = ref 0 in
-  List.iter
-    (fun b ->
-      match Hashtbl.find_opt after_tbl (run_key b) with
-      | None -> ()
-      | Some a ->
-        incr matched;
-        (* Predicted fields gate only when both records carry them: a /3
-           baseline diffed against a /4 report must not flag every row as
-           drifted just because the new side gained predictions. *)
-        let opt_drift bo ao = match (bo, ao) with Some x, Some y -> x <> y | _ -> false in
-        if
-          a.bits <> b.bits || a.messages <> b.messages || a.rounds <> b.rounds
-          || opt_drift b.predicted_bits a.predicted_bits
-          || opt_drift b.predicted_bits_lo a.predicted_bits_lo
-          || opt_drift b.predicted_messages a.predicted_messages
-          || opt_drift b.predicted_rounds a.predicted_rounds
-        then incr drifted;
-        Table.add_row t
-          [
-            b.experiment;
-            b.series;
-            string_of_int b.n;
-            string_of_int b.h;
-            Table.fmt_bits a.bits;
-            pct_delta ~before:b.bits ~after:a.bits;
-            pct_delta ~before:b.messages ~after:a.messages;
-            pct_delta ~before:b.rounds ~after:a.rounds;
-            (match (b.predicted_bits, a.predicted_bits) with
-            | Some pb, Some pa -> pct_delta ~before:pb ~after:pa
-            | None, Some _ -> "new"
-            | _ -> "-");
-            speedup ~before:b.wall_ms ~after:a.wall_ms;
-            rss_cell ~b:b.peak_rss_mb ~a:a.peak_rss_mb;
-          ])
-    before.runs;
+  iter_matched ~before ~after (fun b a ->
+      incr matched;
+      (* Predicted fields gate only when both records carry them: a /3
+         baseline diffed against a /4 report must not flag every row as
+         drifted just because the new side gained predictions. *)
+      let opt_drift bo ao = match (bo, ao) with Some x, Some y -> x <> y | _ -> false in
+      if
+        a.bits <> b.bits || a.messages <> b.messages || a.rounds <> b.rounds
+        || opt_drift b.predicted_bits a.predicted_bits
+        || opt_drift b.predicted_bits_lo a.predicted_bits_lo
+        || opt_drift b.predicted_messages a.predicted_messages
+        || opt_drift b.predicted_rounds a.predicted_rounds
+      then incr drifted;
+      Table.add_row t
+        [
+          b.experiment;
+          b.series;
+          string_of_int b.n;
+          string_of_int b.h;
+          Table.fmt_bits a.bits;
+          pct_delta ~before:b.bits ~after:a.bits;
+          pct_delta ~before:b.messages ~after:a.messages;
+          pct_delta ~before:b.rounds ~after:a.rounds;
+          (match (b.predicted_bits, a.predicted_bits) with
+          | Some pb, Some pa -> pct_delta ~before:pb ~after:pa
+          | None, Some _ -> "new"
+          | _ -> "-");
+          speedup ~before:b.wall_ms ~after:a.wall_ms;
+          rss_cell ~b:b.peak_rss_mb ~a:a.peak_rss_mb;
+        ]);
   (t, !matched, !drifted)
 
 (* ---- process peak RSS ---- *)
@@ -264,15 +271,15 @@ let peak_rss_mb () =
 let print_diff ~before ~after =
   let t, matched, drifted = diff_table ~before ~after in
   Table.print t;
+  (* Whole-report totals are not comparable when the row sets differ
+     (an E2-only report against a full baseline), so the total covers
+     the matched runs only. *)
+  let wall_b, wall_a = matched_wall_ms ~before ~after in
   Printf.printf
     "\n%d comparable runs; %d with accounting drift (bits/messages/rounds changed).\n\
-     total wall: %.1fs (jobs=%d) -> %.1fs (jobs=%d) (%s)\n"
-    matched drifted
-    (before.total_wall_ms /. 1000.0)
-    before.jobs
-    (after.total_wall_ms /. 1000.0)
-    after.jobs
-    (speedup ~before:before.total_wall_ms ~after:after.total_wall_ms);
+     total wall over the %d matched runs: %.1fs (jobs=%d) -> %.1fs (jobs=%d) (%s)\n"
+    matched drifted matched (wall_b /. 1000.0) before.jobs (wall_a /. 1000.0) after.jobs
+    (speedup ~before:wall_b ~after:wall_a);
   if before.jobs <> after.jobs then
     Printf.printf
       "note: reports were produced at different --jobs counts (%d vs %d); wall-time\n\

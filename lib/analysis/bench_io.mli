@@ -84,6 +84,12 @@ val load : string -> report
     changed bits, messages, or rounds. *)
 val diff_table : before:report -> after:report -> Table.t * int * int
 
+(** [matched_wall_ms ~before ~after] is [(before_ms, after_ms)]: the sum
+    of [wall_ms] on each side over the runs present in both reports
+    (matched as in {!diff_table}).  Runs present in only one report do
+    not count. *)
+val matched_wall_ms : before:report -> after:report -> float * float
+
 (** [print_diff ~before ~after] prints the table plus a summary line and
     returns [(matched, drifted)] so the caller can fail both on
     accounting drift and on a vacuous diff with no comparable runs. *)

@@ -84,12 +84,10 @@ let of_sub data ~pos ~len =
   { data; pos; limit = pos + len }
 
 let at_end r = r.pos >= r.limit
-let pos r = r.pos
 
 (* Every decode error names the failing offset and, where a length was
-   involved, the expected vs available byte counts — framed socket
-   traffic (Netsim.Wire) surfaces these messages verbatim, and "which
-   offset of which frame" is the whole diagnosis. *)
+   involved, the expected vs available byte counts — "which offset of
+   which message" is the whole diagnosis. *)
 let need r k =
   if k < 0 then
     raise (Decode_error (Printf.sprintf "negative length %d at offset %d" k r.pos));

@@ -68,11 +68,6 @@ val of_sub : bytes -> pos:int -> len:int -> reader
 (** [at_end r] is true when every byte has been consumed. *)
 val at_end : reader -> bool
 
-(** Current absolute offset within the underlying buffer — the same
-    offset {!Decode_error} messages report.  Framing layers use it to
-    count trailing bytes without copying the frame out. *)
-val pos : reader -> int
-
 val read_varint : reader -> int
 val read_int64 : reader -> int64
 val read_bool : reader -> bool

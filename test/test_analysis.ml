@@ -448,6 +448,29 @@ let test_bench_io_diff_counts_drift () =
   in
   Alcotest.(check int) "gaining predictions is not drift" 0 drifted_gain
 
+(* The diff's total wall covers only the runs both reports share: a
+   one-row report against a two-row baseline must not compare the
+   baseline's whole total against the one row. *)
+let test_bench_io_diff_total_matched_only () =
+  let one_row =
+    {
+      sample_report with
+      Analysis.Bench_io.total_wall_ms = 10.0;
+      runs =
+        List.filter
+          (fun r -> r.Analysis.Bench_io.experiment = "E9")
+          sample_report.Analysis.Bench_io.runs
+        |> List.map (fun r -> { r with Analysis.Bench_io.wall_ms = 3.0 });
+    }
+  in
+  let _, matched, _ = Analysis.Bench_io.diff_table ~before:sample_report ~after:one_row in
+  Alcotest.(check int) "one shared run" 1 matched;
+  let wall_b, wall_a =
+    Analysis.Bench_io.matched_wall_ms ~before:sample_report ~after:one_row
+  in
+  Alcotest.(check (float 0.0)) "before total is the shared row's wall" 1.5 wall_b;
+  Alcotest.(check (float 0.0)) "after total is the shared row's wall" 3.0 wall_a
+
 let () =
   Alcotest.run "analysis"
     [
@@ -478,6 +501,8 @@ let () =
           Alcotest.test_case "schema checked" `Quick test_bench_io_schema_checked;
           Alcotest.test_case "legacy /1 schema loads" `Quick test_bench_io_legacy_schema;
           Alcotest.test_case "diff counts drift" `Quick test_bench_io_diff_counts_drift;
+          Alcotest.test_case "diff total wall over matched runs" `Quick
+            test_bench_io_diff_total_matched_only;
           Alcotest.test_case "golden /4 fixture byte-stable" `Quick
             test_fixture_v4_golden_roundtrip;
           Alcotest.test_case "legacy /1../3 fixtures load" `Quick

@@ -284,8 +284,7 @@ let test_codec_trailing_bytes_rejected () =
       ignore (Util.Codec.decode (fun r -> Util.Codec.read_byte r) b))
 
 (* Decode errors carry the failing offset and the expected/actual byte
-   counts — the contract that makes framed socket traffic (Netsim.Wire)
-   debuggable from the message alone. *)
+   counts, so a bad message is debuggable from the error alone. *)
 let test_codec_error_offsets () =
   let msg f =
     try
@@ -328,6 +327,40 @@ let test_codec_underflow_rejected () =
        ignore (Util.Codec.decode (fun r -> Util.Codec.read_byte r) b);
        false
      with Util.Codec.Decode_error _ -> true)
+
+(* A list/array count larger than the bytes left in the window is
+   rejected before allocating.  The message is asserted, not just the
+   exception: without the guard the element reads still underflow, but
+   with a "need N bytes" error instead. *)
+let test_codec_implausible_count () =
+  let prefix = "implausible count" in
+  let count_error what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Decode_error" what
+    | exception Util.Codec.Decode_error m ->
+      if not (String.starts_with ~prefix m) then
+        Alcotest.failf "%s: expected %S..., got %S" what prefix m
+  in
+  (* Count 100, then three one-byte elements. *)
+  let b = Bytes.of_string "\100\001\002\003" in
+  count_error "read_list" (fun () ->
+      Util.Codec.read_list (Util.Codec.reader b) Util.Codec.read_varint);
+  count_error "read_array" (fun () ->
+      Util.Codec.read_array (Util.Codec.reader b) Util.Codec.read_varint);
+  (* Count 3 is plausible against the whole buffer (4 bytes follow) but
+     not within a window that ends after two of them. *)
+  let b = Bytes.of_string "\003\001\002\003\004" in
+  let window () = Util.Codec.of_sub b ~pos:0 ~len:3 in
+  count_error "read_list in window" (fun () ->
+      Util.Codec.read_list (window ()) Util.Codec.read_varint);
+  count_error "read_array in window" (fun () ->
+      Util.Codec.read_array (window ()) Util.Codec.read_varint);
+  (* A count equal to the bytes left still decodes. *)
+  let exact = Util.Codec.of_sub b ~pos:0 ~len:4 in
+  check Alcotest.(list int) "exact count, list" [ 1; 2; 3 ]
+    (Util.Codec.read_list exact Util.Codec.read_varint);
+  check Alcotest.(array int) "exact count, array" [| 1; 2; 3 |]
+    (Util.Codec.read_array (Util.Codec.of_sub b ~pos:0 ~len:4) Util.Codec.read_varint)
 
 let test_codec_int_list () =
   let lst = [ 5; 0; 99; 1000000 ] in
@@ -784,6 +817,7 @@ let () =
           Alcotest.test_case "underflow rejected" `Quick test_codec_underflow_rejected;
           Alcotest.test_case "error offsets" `Quick test_codec_error_offsets;
           Alcotest.test_case "int list helper" `Quick test_codec_int_list;
+          Alcotest.test_case "implausible count rejected" `Quick test_codec_implausible_count;
           QCheck_alcotest.to_alcotest codec_prop_bytes;
           QCheck_alcotest.to_alcotest codec_prop_varint_list;
           QCheck_alcotest.to_alcotest codec_prop_slice_reader_equiv;
