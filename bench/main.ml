@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --list       -- list experiments
      dune exec bench/main.exe -- --quick      -- reduced sweeps (CI tier)
      dune exec bench/main.exe -- --huge       -- n up to 2048 for E1/E9/E13 (see below)
-     dune exec bench/main.exe -- --giant      -- E7/E8 at n = 10^4..10^6 on Net.Sparse
+     dune exec bench/main.exe -- --giant      -- E7/E8 at n = 10^4..10^6, O(activity) memory
      dune exec bench/main.exe -- --jobs N     -- N parallel executors ("max" = all cores)
      dune exec bench/main.exe -- --json F     -- also write a JSON report to F
      dune exec bench/main.exe -- --max-wall-s S   -- exit 2 if wall-clock > S
@@ -67,8 +67,8 @@ let pick ~full ~reduced = if !quick then reduced else full
    [Netsim.Net.run_round] instead of across runs.  Set once at startup. *)
 let huge = ref false
 
-(* --giant: the streaming-backend tier — E7/E8 at n = 10⁴, 10⁵ and a 10⁶
-   smoke, on [Netsim.Net.Sparse] so memory is O(activity), not O(n²).
+(* --giant: the streaming tier — E7/E8 at n = 10⁴, 10⁵ and a 10⁶ smoke,
+   where the network's memory must grow with activity, not with n².
    --giant --quick is the n = 10⁴ CI smoke.  Set once at startup. *)
 let giant = ref false
 
@@ -800,21 +800,21 @@ let e6 () =
 (* E7 — Claim 20: the sparse routing network                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The giant tier exercises exactly the memory shape the streaming
-   backend exists for: [Net.Sparse] allocates party state on first touch,
-   [Sparse_network.run_iter] streams outcomes so the n-element [Iset]
-   array (gigabytes at n = 10⁶) is never materialized, and connectivity
-   is decided by a streaming union-find over the same edge set the
-   full-tier BFS walks.  Honest hop relations are symmetric (i samples j
-   ⟹ i notifies j ⟹ i ∈ outs(j) unless j aborted), so unioning each
-   undirected edge at its higher-id endpoint — by which time the lower
-   endpoint's abort status is known — yields the BFS verdict exactly;
-   test_net_sparse pins the two against each other at dense scales. *)
+(* The giant tier exercises the network's O(activity) memory shape:
+   [Net] allocates party state on first touch with peer tables sized to
+   each party's degree, [Sparse_network.run_iter] streams outcomes so the
+   n-element [Iset] array (gigabytes at n = 10⁶) is never materialized,
+   and connectivity is decided by a streaming union-find over the same
+   edge set the full-tier BFS walks.  Honest hop relations are symmetric
+   (i samples j ⟹ i notifies j ⟹ i ∈ outs(j) unless j aborted), so
+   unioning each undirected edge at its higher-id endpoint — by which
+   time the lower endpoint's abort status is known — yields the BFS
+   verdict exactly; test_net_sparse checks the two against each other. *)
 let e7_giant () =
-  section "E7  (giant tier) SparseNetwork on the streaming backend, n up to 10^6";
+  section "E7  (giant tier) SparseNetwork with O(activity) memory, n up to 10^6";
   Printf.printf
-    "same protocol as the full tier, run on Net.Sparse: party state is\n\
-     allocated lazily and outcomes stream through run_iter, so n = 10^5\n\
+    "same protocol as the full tier: network party state is allocated on\n\
+     first touch and outcomes stream through run_iter, so n = 10^5\n\
      fits comfortably under 2 GB peak RSS and n = 10^6 completes.\n\n";
   let points =
     pick
@@ -838,7 +838,7 @@ let e7_giant () =
           timed (fun () ->
               for seed = 1 to trials do
                 let corruption = Netsim.Corruption.random rng0 ~n ~h in
-                let net = Netsim.Net.create ~backend:Netsim.Net.Sparse n in
+                let net = Netsim.Net.create n in
                 let rng = prng seed in
                 (* Union-find scaffolding: one int per party plus an
                    abort byte — 9n bytes, versus the n Iset outcomes the
@@ -925,7 +925,7 @@ let e7_giant () =
       points
   in
   let t =
-    Analysis.Table.create ~title:"streaming backend (Net.Sparse), alpha = 2"
+    Analysis.Table.create ~title:"O(activity) network, alpha = 2"
       ~columns:
         [ "n"; "h"; "d"; "max degree"; "cap 3d"; "connected"; "honest aborts"; "wall s";
           "peak rss" ]
@@ -2296,7 +2296,7 @@ let sweep_info : (string * string * string list) list =
       [ "full:  (n,h) in {(64,16)..(512,128)}, 20 trials (--quick: drops n=512, 5 trials)" ] );
     ( "E7", "full quick giant",
       [ "full:  (n,h) in {(64,16)..(512,256)}, 20 trials (--quick: drops n=512, 5 trials)";
-        "giant: Net.Sparse, (n,h,trials) in {(1e4,2500,2),(1e5,5e4,1),(1e6,1e6,1)} (--quick: (1e4,2500,1))" ] );
+        "giant: O(activity) network, (n,h,trials) in {(1e4,2500,2),(1e5,5e4,1),(1e6,1e6,1)} (--quick: (1e4,2500,1))" ] );
     ( "E8", "full quick giant",
       [ "full:  (n,h) in {(64,32)..(512,256)}, 50 trials (--quick: 20)";
         "giant: (n,h,trials) in {(1e4,2500,3),(1e5,5e4,2),(1e6,1e6,1)} (--quick: (1e4,2500,1))" ] );

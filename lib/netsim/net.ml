@@ -1,85 +1,86 @@
 (* High-throughput core.
 
-   The simulator used to keep one global [pending] list (stable-sorted on
-   every [step]) and plain association lists for inboxes (re-reversed and
-   partitioned on every [recv_from]).  At the sweep sizes the experiments
-   run (n up to 512 and beyond), that bookkeeping dominated wall-clock.
-
-   The rewrite buckets traffic by sender at both ends:
+   Traffic is bucketed by sender at both ends:
 
    - Sent-but-undelivered messages live in a {!Transport.t} (per-sender
-     FIFOs for the synchronous transports).  [send] is O(1) and the sync
-     [advance] delivers by walking sender ids in increasing order — which
+     FIFOs for the lockstep transport).  [send] is O(1) and the lockstep
+     [advance] delivers by walking sender ids in increasing order, which
      IS the documented delivery order (sender id, then send order), so no
      sort is ever needed.  [Net] keeps mailboxes, accounting, and the
      round clock; the transport keeps only the in-flight buffer and the
      delivery schedule, so an event-queue transport (Event_net) can delay
      and reorder under identical protocol code.
    - Each recipient keeps an arrival-order [log] (growable array of
-     cells) plus per-sender FIFOs of the same cells, built lazily in a
-     hash table keyed by sender.  [recv] walks the log once; [recv_from]
-     pops only that sender's queue, so it is O(messages from that sender)
-     and repeated polling of an empty pair costs O(1).  A cell popped by
-     one view is marked dead so the other view skips it.
+     cells) plus per-sender FIFOs of the same cells.  [recv] walks the
+     log once; [recv_from] pops only that sender's queue, so it is
+     O(messages from that sender) and repeated polling of an empty pair
+     costs O(1).  A cell drained by one view is marked dead so the other
+     view skips it.
 
-   Two representations sit behind one [t]:
+   Memory is one pointer per party plus O(touched parties + peers +
+   undrained messages): [states] is an n-slot array whose untouched slots
+   all point at one shared [absent] record, and a party's record is
+   created by the first [send] to or from it.  Each record holds ONE peer
+   table, mapping peer id to the FIFO of undrained cells from that peer,
+   which is both the locality set and the per-sender delivery index:
+   peers are symmetric and every delivery follows its metered [send], so
+   the sender of a delivered cell is already in the receiver's table.  A
+   table starts as open addressing over [keys]/[qs] (load <= 3/4, at
+   least [min_slots] slots); once growing it would make the two arrays as
+   large as a direct n-slot array, it converts to a peer bitmap plus an
+   n-slot queue array indexed by peer id.  All-to-all parties thus end up
+   with the direct O(1) layout, and sparse-graph parties (Algs 5-7 at
+   n = 10^5-10^6) with tables sized to their degree.
 
-   - {b Dense} — the original layout: one inbox and counter slot per
-     party, a peer bitmap of n²/8 bytes total (pending queues in
-     [Transport.sync_dense]).  O(1) everything, but Θ(n²) resident even
-     when almost every party is idle, which caps runs near n = 2048.
-   - {b Sparse} — party state ([pstate]: inbox log, per-sender FIFOs,
-     bit counters, an {!Util.Intset} of peers) is allocated on first
-     touch and held in an [(int, pstate) Hashtbl]; undelivered traffic
-     lives in [Transport.sync_sparse]'s per-{e active-sender} hash of
-     FIFOs.  Memory is O(touched parties + in-flight messages), so the
-     sparse-graph protocols (Algs 5–7) run at n = 10⁵–10⁶.  [advance]
-     sorts the active sender ids (O(a log a), a = active senders) to
-     realize the exact dense delivery order.
+   Delivery order, accounting, and the external API are identical to the
+   original list-based implementation (test_netsim's model-equivalence
+   property) and to the two representations this layout replaced
+   (test_net_sparse's golden pins). *)
 
-   Delivery order, accounting, and the external API are identical
-   between backends and to the original list-based implementation (see
-   test_netsim's model-equivalence property and test_net_sparse's
-   dense≡sparse differential suite). *)
+(* [c_q] is the per-sender queue holding the cell while it is undrained,
+   and [no_queue] once drained, so a full [recv] clears each sender's
+   queue without looking it up. *)
+type cell = { c_src : int; c_payload : bytes; mutable c_q : cell Queue.t }
 
-type backend = Dense | Sparse
+(* The queue of a peer nothing has been delivered from yet, and of every
+   drained cell.  Never pushed to or cleared. *)
+let no_queue : cell Queue.t = Queue.create ()
 
-type cell = { c_src : int; c_payload : bytes; mutable c_live : bool }
+let dummy_cell = { c_src = -1; c_payload = Bytes.empty; c_q = no_queue }
 
-let dummy_cell = { c_src = -1; c_payload = Bytes.empty; c_live = false }
-
-type inbox = {
+type pstate = {
   mutable log : cell array; (* arrival order; indices < log_len are valid *)
   mutable log_len : int;
-  mutable live : int; (* number of undrained cells in the log *)
-  by_sender : cell Queue.t option array; (* indexed by sender id, lazily allocated *)
+  mutable live : int; (* undrained cells in the log *)
+  mutable sent_bits : int;
+  mutable recv_bits : int;
+  (* The peer table: [npeers] entries, hashed while [bitmap] is empty
+     ([keys]: peer id or -1 per slot), direct once it is not (bit j set
+     iff j is a peer; slot j is peer j's).  [qs] is parallel to the slots
+     and stays [||] until the first delivery. *)
+  mutable npeers : int;
+  mutable keys : int array;
+  mutable bitmap : bytes;
+  mutable qs : cell Queue.t array;
 }
 
-(* Sparse per-party state: everything the dense backend spreads over five
-   parallel arrays, packed into one lazily created record.  [p_by_sender]
-   replaces the O(n) option array with a hash keyed by the (few) senders
-   that actually addressed this party; [p_peers] replaces the n/8-byte
-   bitmap row with a compact int set sized to the party's degree. *)
-type pstate = {
-  mutable p_log : cell array;
-  mutable p_log_len : int;
-  mutable p_live : int;
-  p_by_sender : (int, cell Queue.t) Hashtbl.t;
-  mutable p_sent_bits : int;
-  mutable p_recv_bits : int;
-  p_peers : Util.Intset.t;
-}
+let fresh_pstate () =
+  {
+    log = [||];
+    log_len = 0;
+    live = 0;
+    sent_bits = 0;
+    recv_bits = 0;
+    npeers = 0;
+    keys = [||];
+    bitmap = Bytes.empty;
+    qs = [||];
+  }
 
-type dense = {
-  inboxes : inbox array;
-  sent_bits : int array;
-  recv_bits : int array;
-  peer_bits : bytes array; (* peer_bits.(i): bit j set iff i exchanged with j *)
-}
-
-type sparse = { states : (int, pstate) Hashtbl.t }
-
-type repr = D of dense | S of sparse
+(* Every untouched party's state.  Only [send] and delivery create
+   records, and both replace this one first, so it is never mutated and
+   reads of it are the zero state. *)
+let absent = fresh_pstate ()
 
 exception Livelock of { rounds : int; max_rounds : int }
 
@@ -94,77 +95,145 @@ let () =
 type t = {
   num_parties : int;
   mutable max_rounds : int option; (* mutable for [with_round_limit] *)
-  net_backend : backend;
   transport : Transport.t; (* owns sent-but-undelivered messages *)
-  deliver : src:int -> dst:int -> bytes -> unit; (* into [repr]'s mailboxes *)
+  deliver : src:int -> dst:int -> bytes -> unit; (* into [states]' mailboxes *)
   mutable round : int;
   mutable total_messages : int;
-  mutable total_sent_bits : int; (* running sum — [total_bits] must be O(1)
-                                    when only a handful of the n counters
-                                    are materialized *)
-  repr : repr;
+  mutable total_sent_bits : int; (* running sum: [total_bits] is O(1) *)
+  states : pstate array;
 }
 
 let n t = t.num_parties
-let backend t = t.net_backend
 
 let check_party t i name =
   if i < 0 || i >= t.num_parties then
     invalid_arg (Printf.sprintf "Net.%s: party %d out of range" name i)
 
-(* ---- Sparse party state ---------------------------------------------- *)
+(* ---- Peer table ------------------------------------------------------ *)
 
-let fresh_pstate () =
-  {
-    p_log = [||];
-    p_log_len = 0;
-    p_live = 0;
-    p_by_sender = Hashtbl.create 4;
-    p_sent_bits = 0;
-    p_recv_bits = 0;
-    p_peers = Util.Intset.create ();
-  }
+(* The smallest hashed table: growing through smaller ones cost the
+   small-n bench rows (n = 64..256) more time than their memory saves. *)
+let min_slots = 64
 
-let pstate s i =
-  match Hashtbl.find_opt s.states i with
-  | Some p -> p
-  | None ->
-    let p = fresh_pstate () in
-    Hashtbl.add s.states i p;
-    p
+(* Multiply-xorshift, so that strided peer ids (every 64th party, say)
+   still spread over the low bits. *)
+let[@inline] hash j mask =
+  let h = j * 0x3E3779B97F4A7C15 in
+  (h lxor (h lsr 29)) land mask
 
-let pstate_opt s i = Hashtbl.find_opt s.states i
+let[@inline] bit_set b j = Char.code (Bytes.unsafe_get b (j lsr 3)) land (1 lsl (j land 7)) <> 0
+
+let[@inline] set_bit b j =
+  let k = j lsr 3 in
+  Bytes.unsafe_set b k (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (j land 7))))
+
+(* Where [j] is or would go in the hashed [keys]: the slot holding [j],
+   else the first free slot of its probe run.  Load <= 3/4 guarantees
+   one exists. *)
+let probe keys j =
+  let mask = Array.length keys - 1 in
+  let i = ref (hash j mask) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> j && k >= 0
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* The slot of peer [j] in [p]'s table, or -1 if [j] is not a peer. *)
+let slot p j =
+  if Bytes.length p.bitmap > 0 then if bit_set p.bitmap j then j else -1
+  else if Array.length p.keys = 0 then -1
+  else begin
+    let i = probe p.keys j in
+    if Array.unsafe_get p.keys i = j then i else -1
+  end
+
+(* Rehash into [cap] slots, or into the direct layout once two [cap]-slot
+   arrays would be as large as one n-slot array.  Queued cells move with
+   their peer. *)
+let resize p ~n cap =
+  let old_keys = p.keys and old_qs = p.qs in
+  let has_qs = Array.length old_qs > 0 in
+  if 2 * cap >= n then begin
+    let bitmap = Bytes.make ((n + 7) / 8) '\000' in
+    let qs = if has_qs then Array.make n no_queue else [||] in
+    for s = 0 to Array.length old_keys - 1 do
+      let j = old_keys.(s) in
+      if j >= 0 then begin
+        set_bit bitmap j;
+        if has_qs then qs.(j) <- old_qs.(s)
+      end
+    done;
+    p.bitmap <- bitmap;
+    p.keys <- [||];
+    p.qs <- qs
+  end
+  else begin
+    let keys = Array.make cap (-1) in
+    let qs = if has_qs then Array.make cap no_queue else [||] in
+    for s = 0 to Array.length old_keys - 1 do
+      let j = old_keys.(s) in
+      if j >= 0 then begin
+        let s' = probe keys j in
+        keys.(s') <- j;
+        if has_qs then qs.(s') <- old_qs.(s)
+      end
+    done;
+    p.keys <- keys;
+    p.qs <- qs
+  end
+
+(* [add_peer p ~n j] adds [j] to [p]'s table; true iff it was not there. *)
+let add_peer p ~n j =
+  if Bytes.length p.bitmap > 0 then
+    bit_set p.bitmap j
+    || begin
+         set_bit p.bitmap j;
+         p.npeers <- p.npeers + 1;
+         true
+       end
+  else begin
+    let cap = Array.length p.keys in
+    let i = if cap = 0 then 0 else probe p.keys j in
+    if cap > 0 && p.keys.(i) = j then false
+    else begin
+      if 4 * (p.npeers + 1) <= 3 * cap then p.keys.(i) <- j
+      else begin
+        resize p ~n (max min_slots (2 * cap));
+        if Bytes.length p.bitmap > 0 then set_bit p.bitmap j else p.keys.(probe p.keys j) <- j
+      end;
+      p.npeers <- p.npeers + 1;
+      true
+    end
+  end
+
+(* The FIFO of undrained cells from the peer in slot [s] ([no_queue] when
+   there is none). *)
+let[@inline] queue p s = if s < 0 || Array.length p.qs = 0 then no_queue else p.qs.(s)
 
 (* ---- Sending --------------------------------------------------------- *)
 
-(* Peer tracking is a bit per (party, peer): [send] marks two bits with no
-   allocation, where the persistent-set version paid two [Iset.add]
-   (O(log n) alloc each) on EVERY message — the single hottest line of the
-   all-to-all distribute phase under a GC-bound profile. *)
-let[@inline] mark_peer d i j =
-  let b = d.peer_bits.(i) in
-  let k = j lsr 3 in
-  Bytes.unsafe_set b k
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (j land 7))))
+let state t i =
+  let p = t.states.(i) in
+  if p != absent then p
+  else begin
+    let p = fresh_pstate () in
+    t.states.(i) <- p;
+    p
+  end
 
 let send t ~src ~dst payload =
   check_party t src "send";
   check_party t dst "send";
   if src = dst then invalid_arg "Net.send: self-send";
   let bits = 8 * Bytes.length payload in
-  (match t.repr with
-  | D d ->
-    d.sent_bits.(src) <- d.sent_bits.(src) + bits;
-    d.recv_bits.(dst) <- d.recv_bits.(dst) + bits;
-    mark_peer d src dst;
-    mark_peer d dst src
-  | S s ->
-    let ps = pstate s src in
-    ps.p_sent_bits <- ps.p_sent_bits + bits;
-    Util.Intset.add ps.p_peers dst;
-    let pd = pstate s dst in
-    pd.p_recv_bits <- pd.p_recv_bits + bits;
-    Util.Intset.add pd.p_peers src);
+  let ps = state t src and pd = state t dst in
+  ps.sent_bits <- ps.sent_bits + bits;
+  pd.recv_bits <- pd.recv_bits + bits;
+  (* Tables are symmetric: [dst] already in [src]'s means [src] in [dst]'s. *)
+  if add_peer ps ~n:t.num_parties dst then ignore (add_peer pd ~n:t.num_parties src);
   (* Metering happens at send time regardless of when (or in what order)
      the transport chooses to deliver — cost is a property of what the
      protocol said, not of the schedule. *)
@@ -174,91 +243,50 @@ let send t ~src ~dst payload =
 
 (* ---- Delivery -------------------------------------------------------- *)
 
-let deliver_dense d ~src ~dst payload =
-  let ib = d.inboxes.(dst) in
-  let cell = { c_src = src; c_payload = payload; c_live = true } in
-  (if ib.log_len = Array.length ib.log then begin
-     let grown = Array.make (max 8 (2 * ib.log_len)) dummy_cell in
-     Array.blit ib.log 0 grown 0 ib.log_len;
-     ib.log <- grown
-   end);
-  ib.log.(ib.log_len) <- cell;
-  ib.log_len <- ib.log_len + 1;
-  ib.live <- ib.live + 1;
+let deliver states ~n ~src ~dst payload =
+  let p = states.(dst) in
+  let s = slot p src in
+  if s < 0 then invalid_arg "Net: transport delivered a message that was never sent";
+  if Array.length p.qs = 0 then
+    p.qs <- Array.make (if Bytes.length p.bitmap > 0 then n else Array.length p.keys) no_queue;
+  let q = p.qs.(s) in
   let q =
-    match ib.by_sender.(src) with
-    | Some q -> q
-    | None ->
+    if q != no_queue then q
+    else begin
       let q = Queue.create () in
-      ib.by_sender.(src) <- Some q;
+      p.qs.(s) <- q;
       q
+    end
   in
+  let cell = { c_src = src; c_payload = payload; c_q = q } in
+  (if p.log_len = Array.length p.log then begin
+     let grown = Array.make (max 8 (2 * p.log_len)) dummy_cell in
+     Array.blit p.log 0 grown 0 p.log_len;
+     p.log <- grown
+   end);
+  p.log.(p.log_len) <- cell;
+  p.log_len <- p.log_len + 1;
+  p.live <- p.live + 1;
   Queue.push cell q
 
-let deliver_sparse s ~src ~dst payload =
-  let p = pstate s dst in
-  let cell = { c_src = src; c_payload = payload; c_live = true } in
-  (if p.p_log_len = Array.length p.p_log then begin
-     let grown = Array.make (max 8 (2 * p.p_log_len)) dummy_cell in
-     Array.blit p.p_log 0 grown 0 p.p_log_len;
-     p.p_log <- grown
-   end);
-  p.p_log.(p.p_log_len) <- cell;
-  p.p_log_len <- p.p_log_len + 1;
-  p.p_live <- p.p_live + 1;
-  let q =
-    match Hashtbl.find_opt p.p_by_sender src with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add p.p_by_sender src q;
-      q
-  in
-  Queue.push cell q
-
-let create ?(backend = Dense) ?transport ?max_rounds num_parties =
+let create ?transport ?max_rounds num_parties =
   if num_parties <= 0 then invalid_arg "Net.create: need at least one party";
   (match max_rounds with
   | Some m when m <= 0 -> invalid_arg "Net.create: max_rounds must be positive"
   | _ -> ());
-  let repr =
-    match backend with
-    | Dense ->
-      D
-        {
-          inboxes =
-            Array.init num_parties (fun _ ->
-                { log = [||]; log_len = 0; live = 0; by_sender = Array.make num_parties None });
-          sent_bits = Array.make num_parties 0;
-          recv_bits = Array.make num_parties 0;
-          peer_bits =
-            Array.init num_parties (fun _ -> Bytes.make ((num_parties + 7) / 8) '\000');
-        }
-    | Sparse -> S { states = Hashtbl.create 64 }
-  in
+  let states = Array.make num_parties absent in
   let transport =
-    match transport with
-    | Some tr -> tr
-    | None -> (
-      match backend with
-      | Dense -> Transport.sync_dense ~n:num_parties
-      | Sparse -> Transport.sync_sparse ())
-  in
-  let deliver =
-    match repr with
-    | D d -> fun ~src ~dst payload -> deliver_dense d ~src ~dst payload
-    | S s -> fun ~src ~dst payload -> deliver_sparse s ~src ~dst payload
+    match transport with Some tr -> tr | None -> Transport.sync_dense ~n:num_parties
   in
   {
     num_parties;
     max_rounds;
-    net_backend = backend;
     transport;
-    deliver;
+    deliver = deliver states ~n:num_parties;
     round = 0;
     total_messages = 0;
     total_sent_bits = 0;
-    repr;
+    states;
   }
 
 let step t =
@@ -272,11 +300,10 @@ let step t =
   (match t.max_rounds with
   | Some m when t.round >= m -> raise (Livelock { rounds = t.round; max_rounds = m })
   | _ -> ());
-  (* One transport tick.  The synchronous transports deliver everything
-     in flight in the canonical order (ascending sender id, then send
+  (* One transport tick.  The lockstep transport delivers everything in
+     flight in the canonical order (ascending sender id, then send
      order); the event transport releases whatever its schedule says is
-     due.  Skipped entirely when nothing is in flight, so idle steps
-     stay O(1) on the sparse backend. *)
+     due.  Skipped entirely when nothing is in flight. *)
   if t.transport.Transport.in_flight () > 0 then t.transport.Transport.advance ~deliver:t.deliver;
   t.round <- t.round + 1
 
@@ -304,181 +331,89 @@ let with_round_limit t ~extra f =
 
 (* ---- Receiving ------------------------------------------------------- *)
 
-let reset_inbox ib =
-  (* Drop cell references so drained payloads can be collected. *)
-  for k = 0 to ib.log_len - 1 do
-    ib.log.(k) <- dummy_cell
-  done;
-  ib.log_len <- 0;
-  ib.live <- 0
-
-let reset_pstate_inbox p =
-  for k = 0 to p.p_log_len - 1 do
-    p.p_log.(k) <- dummy_cell
-  done;
-  p.p_log_len <- 0;
-  p.p_live <- 0;
-  (* [reset] (not [clear]) drops the bucket array back to its initial
-     size: a party that was hot once must not pin a large table forever. *)
-  Hashtbl.reset p.p_by_sender
+(* Drop drained cells so their payloads can be collected.  Writes nothing
+   to an empty log, so [absent] stays untouched. *)
+let clear_log p =
+  if p.log_len > 0 then begin
+    Array.fill p.log 0 p.log_len dummy_cell;
+    p.log_len <- 0;
+    p.live <- 0
+  end
 
 let recv t ~dst =
   check_party t dst "recv";
-  match t.repr with
-  | D d ->
-    let ib = d.inboxes.(dst) in
-    if ib.live = 0 then begin
-      reset_inbox ib;
-      []
-    end
-    else begin
-      let acc = ref [] in
-      for k = ib.log_len - 1 downto 0 do
-        let c = ib.log.(k) in
-        if c.c_live then begin
-          c.c_live <- false;
-          (match ib.by_sender.(c.c_src) with
-          | Some q -> Queue.clear q
-          | None -> ());
-          acc := (c.c_src, c.c_payload) :: !acc
-        end
-      done;
-      reset_inbox ib;
-      !acc
-    end
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p ->
-      if p.p_live = 0 then begin
-        reset_pstate_inbox p;
-        []
+  let p = t.states.(dst) in
+  let acc = ref [] in
+  if p.live > 0 then
+    for k = p.log_len - 1 downto 0 do
+      let c = p.log.(k) in
+      if c.c_q != no_queue then begin
+        Queue.clear c.c_q;
+        c.c_q <- no_queue;
+        acc := (c.c_src, c.c_payload) :: !acc
       end
-      else begin
-        let acc = ref [] in
-        for k = p.p_log_len - 1 downto 0 do
-          let c = p.p_log.(k) in
-          if c.c_live then begin
-            c.c_live <- false;
-            acc := (c.c_src, c.c_payload) :: !acc
-          end
-        done;
-        (* No per-sender queue clears needed: the whole index is reset. *)
-        reset_pstate_inbox p;
-        !acc
-      end)
+    done;
+  clear_log p;
+  !acc
 
 let recv_from t ~dst ~src =
   check_party t dst "recv_from";
-  match t.repr with
-  | D d -> (
-    let ib = d.inboxes.(dst) in
-    match ib.by_sender.(src) with
-    | None -> []
-    | Some q ->
-      let k = Queue.length q in
-      if k = 0 then []
-      else begin
-        let acc = ref [] in
-        while not (Queue.is_empty q) do
-          let c = Queue.pop q in
-          c.c_live <- false;
-          acc := c.c_payload :: !acc
-        done;
-        ib.live <- ib.live - k;
-        if ib.live = 0 then reset_inbox ib;
-        List.rev !acc
-      end)
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p -> (
-      match Hashtbl.find_opt p.p_by_sender src with
-      | None -> []
-      | Some q ->
-        let k = Queue.length q in
-        if k = 0 then []
-        else begin
-          let acc = ref [] in
-          while not (Queue.is_empty q) do
-            let c = Queue.pop q in
-            c.c_live <- false;
-            acc := c.c_payload :: !acc
-          done;
-          p.p_live <- p.p_live - k;
-          if p.p_live = 0 then reset_pstate_inbox p;
-          List.rev !acc
-        end))
+  check_party t src "recv_from";
+  let p = t.states.(dst) in
+  let q = queue p (slot p src) in
+  let k = Queue.length q in
+  if k = 0 then []
+  else begin
+    let acc = ref [] in
+    while not (Queue.is_empty q) do
+      let c = Queue.pop q in
+      c.c_q <- no_queue;
+      acc := c.c_payload :: !acc
+    done;
+    p.live <- p.live - k;
+    if p.live = 0 then clear_log p;
+    List.rev !acc
+  end
 
 (* [Some payload] iff exactly one message is queued — the lockstep common
    case — draining the queue either way, so network state afterwards is
    identical to [recv_from] matched against [[v]], without the per-call
    list build. *)
-let drain_one q =
-  let k = Queue.length q in
-  if k = 0 then (0, None)
-  else if k = 1 then begin
-    let c = Queue.pop q in
-    c.c_live <- false;
-    (1, Some c.c_payload)
-  end
-  else begin
-    while not (Queue.is_empty q) do
-      let c = Queue.pop q in
-      c.c_live <- false
-    done;
-    (k, None)
-  end
-
 let recv_one t ~dst ~src =
   check_party t dst "recv_one";
-  match t.repr with
-  | D d -> (
-    let ib = d.inboxes.(dst) in
-    match ib.by_sender.(src) with
-    | None -> None
-    | Some q ->
-      let k, result = drain_one q in
-      if k > 0 then begin
-        ib.live <- ib.live - k;
-        if ib.live = 0 then reset_inbox ib
-      end;
-      result)
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> None
-    | Some p -> (
-      match Hashtbl.find_opt p.p_by_sender src with
-      | None -> None
-      | Some q ->
-        let k, result = drain_one q in
-        if k > 0 then begin
-          p.p_live <- p.p_live - k;
-          if p.p_live = 0 then reset_pstate_inbox p
-        end;
-        result))
+  check_party t src "recv_one";
+  let p = t.states.(dst) in
+  let q = queue p (slot p src) in
+  let k = Queue.length q in
+  if k = 0 then None
+  else begin
+    let result =
+      if k = 1 then begin
+        let c = Queue.pop q in
+        c.c_q <- no_queue;
+        Some c.c_payload
+      end
+      else begin
+        while not (Queue.is_empty q) do
+          (Queue.pop q).c_q <- no_queue
+        done;
+        None
+      end
+    in
+    p.live <- p.live - k;
+    if p.live = 0 then clear_log p;
+    result
+  end
 
 let peek t ~dst =
   check_party t dst "peek";
-  match t.repr with
-  | D d ->
-    let ib = d.inboxes.(dst) in
-    let acc = ref [] in
-    for k = ib.log_len - 1 downto 0 do
-      let c = ib.log.(k) in
-      if c.c_live then acc := (c.c_src, c.c_payload) :: !acc
-    done;
-    !acc
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p ->
-      let acc = ref [] in
-      for k = p.p_log_len - 1 downto 0 do
-        let c = p.p_log.(k) in
-        if c.c_live then acc := (c.c_src, c.c_payload) :: !acc
-      done;
-      !acc)
+  let p = t.states.(dst) in
+  let acc = ref [] in
+  for k = p.log_len - 1 downto 0 do
+    let c = p.log.(k) in
+    if c.c_q != no_queue then acc := (c.c_src, c.c_payload) :: !acc
+  done;
+  !acc
 
 (* ---- Accounting ------------------------------------------------------ *)
 
@@ -486,87 +421,38 @@ let rounds t = t.round
 
 let bits_sent t i =
   check_party t i "bits_sent";
-  match t.repr with
-  | D d -> d.sent_bits.(i)
-  | S s -> ( match pstate_opt s i with Some p -> p.p_sent_bits | None -> 0)
+  t.states.(i).sent_bits
 
 let bits_received t i =
   check_party t i "bits_received";
-  match t.repr with
-  | D d -> d.recv_bits.(i)
-  | S s -> ( match pstate_opt s i with Some p -> p.p_recv_bits | None -> 0)
+  t.states.(i).recv_bits
 
 let total_bits t = t.total_sent_bits
 let total_bits_of t parties = List.fold_left (fun acc i -> acc + bits_sent t i) 0 parties
 
+(* Rebuilt on demand: [peers] is a reporting call (end of run), while
+   [send] is the hot loop. *)
 let peers t i =
   check_party t i "peers";
-  (* Rebuilt on demand: [peers] is a reporting call (end of run), while
-     [send] is the hot loop — both representations optimize for the
-     latter and reconstitute the set here. *)
-  match t.repr with
-  | D d ->
-    let b = d.peer_bits.(i) in
-    let s = ref Util.Iset.empty in
-    for j = t.num_parties - 1 downto 0 do
-      if (Char.code (Bytes.unsafe_get b (j lsr 3)) lsr (j land 7)) land 1 = 1 then
-        s := Util.Iset.add j !s
-    done;
-    !s
-  | S s -> ( match pstate_opt s i with Some p -> Util.Intset.to_iset p.p_peers | None -> Util.Iset.empty)
-
-let popcount8 =
-  Array.init 256 (fun v ->
-      let c = ref 0 in
-      for k = 0 to 7 do
-        c := !c + ((v lsr k) land 1)
-      done;
-      !c)
+  let p = t.states.(i) in
+  Util.Iset.of_list
+    (if Bytes.length p.bitmap > 0 then
+       List.filter (bit_set p.bitmap) (List.init t.num_parties Fun.id)
+     else List.filter (fun j -> j >= 0) (Array.to_list p.keys))
 
 let locality t i =
   check_party t i "locality";
-  match t.repr with
-  | D d ->
-    let b = d.peer_bits.(i) in
-    let c = ref 0 in
-    for k = 0 to Bytes.length b - 1 do
-      c := !c + Array.unsafe_get popcount8 (Char.code (Bytes.unsafe_get b k))
-    done;
-    !c
-  | S s -> ( match pstate_opt s i with Some p -> Util.Intset.cardinal p.p_peers | None -> 0)
+  t.states.(i).npeers
 
-let max_locality t =
-  match t.repr with
-  | D _ ->
-    let best = ref 0 in
-    for i = 0 to t.num_parties - 1 do
-      best := max !best (locality t i)
-    done;
-    !best
-  | S s ->
-    (* Untouched parties have locality 0, so folding over the touched
-       ones is exact. *)
-    Hashtbl.fold (fun _ p acc -> max acc (Util.Intset.cardinal p.p_peers)) s.states 0
-
+let max_locality t = Array.fold_left (fun acc p -> max acc p.npeers) 0 t.states
 let messages_sent t = t.total_messages
 
 let active_parties t =
-  match t.repr with
-  | D d ->
-    let acc = ref [] in
-    for i = t.num_parties - 1 downto 0 do
-      if d.inboxes.(i).live > 0 then acc := i :: !acc
-    done;
-    !acc
-  | S s ->
-    List.sort compare
-      (Hashtbl.fold (fun i p acc -> if p.p_live > 0 then i :: acc else acc) s.states [])
-
-(* Undrained-inbox size — the [run_round] shard weight. *)
-let live_of t i =
-  match t.repr with
-  | D d -> d.inboxes.(i).live
-  | S s -> ( match pstate_opt s i with Some p -> p.p_live | None -> 0)
+  let acc = ref [] in
+  for i = t.num_parties - 1 downto 0 do
+    if t.states.(i).live > 0 then acc := i :: !acc
+  done;
+  !acc
 
 (* ---- Intra-round parallel party stepping ---------------------------- *)
 
@@ -590,16 +476,12 @@ let live_of t i =
    accounting, and all later [recv]s are bit-identical at any domain
    count.  See test_net_parallel's differential property.
 
-   Sparse caveat: [Party.recv]/[recv_from]/[recv_one] lazily create and
-   reset entries in the shared [states] hash from worker domains, which
-   would race.  They do not — a party whose pstate is absent receives
-   nothing, and the reset-on-empty path never {e removes} hash entries,
-   only mutates the pstate record it found.  The one genuinely shared
-   mutation, pstate {e creation}, happens only in [send] (commit phase,
-   sequential) and [deliver_sparse] ([step], sequential).  A compute
-   phase therefore only ever reads the hash structure and mutates
-   per-party records its shard exclusively owns — the same partitioned
-   ownership the dense backend gets from array indexing. *)
+   Worker domains never race on [states]: [Party.recv]/[recv_from]/
+   [recv_one]/[peek] only read the slot array and mutate the record of
+   the party their shard owns, and they write nothing to a party with an
+   empty inbox, so the shared [absent] record is never touched.  Records
+   and queues are created only in [send] (commit phase, sequential) and
+   delivery ([step], sequential), never from a compute phase. *)
 
 module Party = struct
   type p = { net : t; me : int; outbox : (int * bytes) Queue.t }
@@ -668,7 +550,7 @@ let run_round ?pool t ~parties f =
          the inbox sizes, which are jobs-independent) and invisible to the
          output: results land at each party's own index and the commit
          below orders by party id, not by shard. *)
-      let weights = Array.map (fun me -> 1 + live_of t me) ps in
+      let weights = Array.map (fun me -> 1 + t.states.(me).live) ps in
       let shards = Util.Pool.pack_bins ~weights ~bins:nshards in
       let out = Array.make len None in
       let (_ : unit array) =

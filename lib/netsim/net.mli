@@ -18,28 +18,25 @@
     correctness/abort properties.
 
     Performance contract: mailboxes are bucketed by sender, so {!send} is
-    O(1), {!step} delivers without sorting (it walks sender ids in
-    ascending order, which realizes the documented delivery order
+    O(1) amortized, {!step} delivers without sorting (it walks sender ids
+    in ascending order, which realizes the documented delivery order
     directly), {!recv} is linear in the messages returned, and
     {!recv_from} is linear in the messages from that one sender rather
-    than in the whole inbox.  Peer/locality tracking is a bit per
-    (party, peer): {!send} marks two bits allocation-free, and {!peers}
-    reconstitutes the set on demand (it is a reporting call, not a hot
-    one).
+    than in the whole inbox.  {!locality} is O(1); {!peers} rebuilds the
+    set on demand (it is a reporting call, not a hot one).
 
-    Two {!type-backend}s realize that contract with different memory
-    shapes.  {!Dense} (the default) materializes every party's mailbox,
-    counters, and an n²-bit peer bitmap up front — O(1) per operation
-    but Θ(n²) resident, which caps runs near n = 2048.  {!Sparse}
-    allocates a party's state lazily on first touch (first send to or
-    from it) in compact hash- and {!Util.Intset}-backed structures, and
-    keeps idle parties as pure aggregate accounting, so memory is
-    O(touched parties + in-flight messages) and the sparse-graph
-    protocols (Algorithms 5–7) run at n = 10⁵–10⁶.  Every observable —
-    delivery order, drain semantics, bit/message/locality/round
-    accounting, exceptions — is {e identical} between backends; the
-    dense≡sparse differential suite (test_net_sparse) pins that at every
-    n both can execute.
+    Memory is O(touched parties + peers + undrained messages) plus one
+    pointer per party.  A party's state is created by the first
+    {!send} to or from it; until then it shares one empty record.  Each
+    party keeps one peer table mapping a peer to the queue of undrained
+    messages from it, which serves both as its locality set and as its
+    per-sender inbox index.  The table is an open-addressing hash sized
+    to the party's degree (at least 64 slots), and becomes a direct n-slot array once its
+    degree makes the two the same size.  A party that talks to
+    everyone thus gets O(1) array indexing, and the sparse-graph
+    protocols (Algorithms 5–7) run at n = 10⁵–10⁶ in memory that grows
+    with their traffic, not with n².  The layout is decided by each
+    table's observed size; there is no option to select it.
 
     Domain-safety contract: a [t] is single-owner mutable state with no
     internal locking.  Two domains must never touch the same instance;
@@ -54,7 +51,9 @@
     partitioned by party.  A worker domain that has been handed a shard
     of parties exclusively owns those parties' inboxes (the only state
     {!Party.recv}/{!Party.recv_from}/{!Party.peek} mutate) and their
-    private outboxes; the network-global state — pending queues, bit and
+    private outboxes, and it never creates party state or queues: those
+    are created only by {!send} and {!step}, which run on the calling
+    domain.  The network-global state — pending queues, bit and
     locality counters, the round clock — is owned by {e nobody} during
     the compute phase and only mutated by the sequential commit phase on
     the calling domain.  Party step functions must therefore reach the
@@ -67,11 +66,6 @@
 
 type t
 
-(** Memory representation — semantics are identical, see the header. *)
-type backend =
-  | Dense  (** per-party arrays + n²-bit peer bitmap; O(n²) resident *)
-  | Sparse  (** lazy per-party state on first touch; O(activity) resident *)
-
 (** Raised by {!step} when the round clock reaches a [max_rounds] bound
     (set at [create] or tightened by {!with_round_limit}) — the livelock
     watchdog for adversarial runs.  The clock it counts is the same
@@ -80,12 +74,13 @@ type backend =
     delivery schedule, not just on lockstep rounds. *)
 exception Livelock of { rounds : int; max_rounds : int }
 
-(** [create ?backend ?transport ?max_rounds n] — a fresh network of
-    parties [0 .. n-1].  [backend] defaults to {!Dense}.
+(** [create ?transport ?max_rounds n] — a fresh network of parties
+    [0 .. n-1].  Up front it allocates one pointer per party (and the
+    default transport one empty queue per party); everything else is
+    allocated as traffic arrives.
 
     [transport] is the delivery schedule ({!Transport.t}); it defaults
-    to the synchronous lockstep transport matching [backend]
-    ([Transport.sync_dense] / [Transport.sync_sparse]), which preserves
+    to the lockstep transport [Transport.sync_dense ~n], which preserves
     the historical semantics bit-for-bit.  Pass [Event_net.transport]
     for asynchronous delivery with latency, reordering, and adversarial
     scheduling.
@@ -94,12 +89,9 @@ exception Livelock of { rounds : int; max_rounds : int }
     {!Livelock} instead of advancing, so a protocol driven into an
     unbounded loop by a fault schedule fails with a diagnosable exception
     rather than hanging.  Default: no bound, exactly the old behavior. *)
-val create : ?backend:backend -> ?transport:Transport.t -> ?max_rounds:int -> int -> t
+val create : ?transport:Transport.t -> ?max_rounds:int -> int -> t
 
 val n : t -> int
-
-(** The representation this instance was created with. *)
-val backend : t -> backend
 
 (** {1 Sending and receiving} *)
 
@@ -263,9 +255,8 @@ val messages_sent : t -> int
 
 (** [active_parties t] — the ids of parties with at least one undrained
     delivered message, in increasing order: the frontier a round-driving
-    loop should iterate instead of [0 .. n-1].  Cost is O(touched
-    parties) on the sparse backend (and O(n) on dense, where n is small
-    by construction).  A party whose step is a no-op on an empty inbox
+    loop should iterate instead of [0 .. n-1].  Cost is one pointer read
+    per party.  A party whose step is a no-op on an empty inbox
     is unobservable either way, so restricting a round to this frontier
     is exact, not an approximation. *)
 val active_parties : t -> int list

@@ -5,10 +5,10 @@ type t = {
   in_flight : unit -> int;
 }
 
-(* Both synchronous transports are the pending-message structures that
-   used to live inside [Net.t], moved behind the interface unchanged:
-   delivery order (ascending sender id, then send order) and per-call
-   costs are identical, which the committed bench baselines gate. *)
+(* The pending-message structure that used to live inside [Net.t], moved
+   behind the interface unchanged: delivery order (ascending sender id,
+   then send order) and per-call costs are identical, which the committed
+   bench baselines gate. *)
 
 let sync_dense ~n =
   let pending = Array.init n (fun _ -> Queue.create ()) in
@@ -29,41 +29,6 @@ let sync_dense ~n =
               deliver ~src ~dst payload
             done
           done;
-          count := 0
-        end);
-    in_flight = (fun () -> !count);
-  }
-
-let sync_sparse () =
-  let pending : (int, (int * bytes) Queue.t) Hashtbl.t = Hashtbl.create 64 in
-  let count = ref 0 in
-  {
-    name = "sync";
-    submit =
-      (fun ~src ~dst payload ->
-        let q =
-          match Hashtbl.find_opt pending src with
-          | Some q -> q
-          | None ->
-            let q = Queue.create () in
-            Hashtbl.add pending src q;
-            q
-        in
-        Queue.push (dst, payload) q;
-        incr count);
-    advance =
-      (fun ~deliver ->
-        if !count > 0 then begin
-          let srcs = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) pending []) in
-          List.iter
-            (fun src ->
-              let q = Hashtbl.find pending src in
-              while not (Queue.is_empty q) do
-                let dst, payload = Queue.pop q in
-                deliver ~src ~dst payload
-              done)
-            srcs;
-          Hashtbl.reset pending;
           count := 0
         end);
     in_flight = (fun () -> !count);

@@ -2,14 +2,14 @@
     has been sent but not yet delivered, and decides — when the round
     clock ticks — which of them become readable.
 
-    {!Net.send} meters a message (bits, message count, peer bits) and
+    {!Net.send} meters a message (bits, message count, peers) and
     then hands it to the transport via [submit]; {!Net.step} calls
     [advance], and the transport calls [deliver] back once per message it
     releases, in the order it wants them to arrive.  Mailboxes,
     accounting, and the round clock stay in {!Net}; the transport is
     {e only} the in-flight buffer plus the delivery schedule.  That split
-    is what lets the synchronous backend stay byte-identical while an
-    event-queue backend ({!Event_net}) reorders and delays traffic under
+    is what lets the lockstep transport stay byte-identical while an
+    event-queue transport ({!Event_net}) reorders and delays traffic under
     the same protocol code — and it is the seam a future socket-backed
     transport plugs into.
 
@@ -25,8 +25,8 @@
     - {b Single owner.}  Same as [Net.t]: no internal locking, one
       owning domain.
 
-    The synchronous transports below reproduce the historical lockstep
-    semantics {e exactly}: one [advance] delivers everything in flight,
+    The lockstep transport below reproduces the historical semantics
+    {e exactly}: one [advance] delivers everything in flight,
     senders in ascending id order, each sender's messages in send order. *)
 
 type t = {
@@ -40,14 +40,11 @@ type t = {
   in_flight : unit -> int;  (** Messages submitted but not yet delivered. *)
 }
 
-(** Lockstep delivery over a dense per-sender queue array — the
-    historical {!Net.Dense} pending structure, verbatim: [submit] is
-    O(1), [advance] walks sender ids [0 .. n-1] and empties each queue in
-    send order. *)
+(** Lockstep delivery over a per-sender queue array, the only lockstep
+    transport and {!Net.create}'s default: [submit] is O(1), [advance]
+    walks sender ids [0 .. n-1] and empties each queue in send order.
+    It costs one queue per party, which is O(n) like {!Net}'s own
+    per-party slots.  The name is kept from when a second, hash-based
+    lockstep transport existed, because traced benchmark runs wrap this
+    function by name. *)
 val sync_dense : n:int -> t
-
-(** Lockstep delivery for the sparse backend: per-{e active}-sender
-    queues in a hash table, [advance] sorts the (few) active sender ids
-    to realize the exact dense delivery order — the historical
-    {!Net.Sparse} pending structure, verbatim. *)
-val sync_sparse : unit -> t

@@ -1,272 +1,180 @@
-(* Differential conformance suite for the streaming network backend
-   ([Netsim.Net.Sparse]): every observable — delivered payloads and their
-   order, per-party bit counters, peer sets, totals, the active-party
-   frontier — must be byte-identical to the dense backend at every jobs
-   count.  The protocol half drives the sparse family (Algorithm 5,
-   gossip, committee election, LocalCommitteeElect, Theorem 2) through
-   both backends, honest and adversarial, and pins the giant tier's
-   streaming union-find connectivity verdict against the BFS reference
-   at scales where both still run. *)
+(* Golden pins for the network simulator on the sparse protocol family
+   (Algorithm 5, gossip, committee election, LocalCommitteeElect,
+   Theorem 2), honest and adversarial, at every jobs count; plus the giant
+   tier's streaming union-find connectivity verdict against the BFS
+   reference and run_iter against run.
+
+   Each pin fixes bits, messages, rounds and max_locality, and a SHA-256
+   prefix over every other observable: per-party bits sent and received,
+   sorted peer lists, the active-party frontier, and the normalized
+   outcomes.  The values were captured from the original dense network
+   representation, so they keep checking that the single layout meters
+   and delivers exactly as the dense one did.  Set PRINT_PINS=1 to print
+   the measured values. *)
 
 let checkb = Alcotest.(check bool)
+let checki = Alcotest.(check int)
 
 let pool1 = lazy (Util.Pool.create ~num_domains:1 ())
 let pool7 = lazy (Util.Pool.create ~num_domains:7 ())
 let all_pools () = [ None; Some (Lazy.force pool1); Some (Lazy.force pool7) ]
-let backends = [ Netsim.Net.Dense; Netsim.Net.Sparse ]
 
-(* Everything observable about a network's accounting, as one comparable
-   value.  Peer sets are compared element-wise (sorted lists), never as
-   raw [Iset.t]: the two backends build them in different insertion
-   orders, and AVL shape is not an observable. *)
-type obs = {
-  bits_sent : int list;
-  bits_received : int list;
-  peers : int list list;
-  total_bits : int;
-  messages : int;
-  net_rounds : int;
-  max_locality : int;
-  active : int list;
-}
+type pin = { bits : int; messages : int; rounds : int; locality : int; digest : string }
 
-let observe net =
+let ints l = String.concat "," (List.map string_of_int l)
+let iset s = ints (Util.Iset.to_sorted_list s)
+
+(* One line per party: the output through [show], or the abort reason. *)
+let outcomes show outs =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (function
+            | Mpc.Outcome.Output v -> "O " ^ show v
+            | Mpc.Outcome.Abort r -> "A " ^ Mpc.Outcome.reason_to_string r)
+          outs))
+
+(* Everything observable about a finished run, as one pin.  Peer sets go
+   in as sorted lists: set shape is not an observable. *)
+let measure net outs =
   let n = Netsim.Net.n net in
+  let ctx = Crypto.Sha256.init () in
+  let add s = Crypto.Sha256.update_string ctx s in
+  for i = 0 to n - 1 do
+    add
+      (Printf.sprintf "%d:%d:%d:%s;" i (Netsim.Net.bits_sent net i)
+         (Netsim.Net.bits_received net i) (iset (Netsim.Net.peers net i)))
+  done;
+  add ("active:" ^ ints (Netsim.Net.active_parties net) ^ "\n");
+  add outs;
   {
-    bits_sent = List.init n (Netsim.Net.bits_sent net);
-    bits_received = List.init n (Netsim.Net.bits_received net);
-    peers = List.init n (fun i -> Util.Iset.to_sorted_list (Netsim.Net.peers net i));
-    total_bits = Netsim.Net.total_bits net;
+    bits = Netsim.Net.total_bits net;
     messages = Netsim.Net.messages_sent net;
-    net_rounds = Netsim.Net.rounds net;
-    max_locality = Netsim.Net.max_locality net;
-    active = Netsim.Net.active_parties net;
+    rounds = Netsim.Net.rounds net;
+    locality = Netsim.Net.max_locality net;
+    digest = String.sub (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)) 0 16;
   }
 
-(* ---- Op-script model property ------------------------------------ *)
+let check_pin name expected got =
+  if Sys.getenv_opt "PRINT_PINS" <> None then
+    Printf.printf "%s: bits = %d; messages = %d; rounds = %d; locality = %d; digest = %S\n%!" name
+      got.bits got.messages got.rounds got.locality got.digest;
+  checki (name ^ " bits") expected.bits got.bits;
+  checki (name ^ " messages") expected.messages got.messages;
+  checki (name ^ " rounds") expected.rounds got.rounds;
+  checki (name ^ " max locality") expected.locality got.locality;
+  Alcotest.(check string) (name ^ " observables digest") expected.digest got.digest
 
-(* A script of raw network operations executed on both backends; the
-   receive results and final observables must match exactly.  Payloads
-   encode (op index, src, dst) so a misrouted or reordered delivery is a
-   byte difference, not just a count difference. *)
-type op =
-  | Send of int * int * int  (* src, dst (self redirected), extra length *)
-  | Step
-  | Recv of int
-  | Recv_from of int * int
-  | Recv_one of int * int
-  | Peek of int
-
-let payload ~k ~src ~dst ~len =
-  Bytes.of_string (Printf.sprintf "k%d.s%d.d%d.%s" k src dst (String.make len 'x'))
-
-let execute ~backend n ops =
-  let net = Netsim.Net.create ~backend n in
-  let strings l = List.map (fun (s, b) -> (s, Bytes.to_string b)) l in
-  let log =
-    List.mapi
-      (fun k op ->
-        match op with
-        | Send (src, dst0, len) ->
-          let dst = if dst0 = src then (src + 1) mod n else dst0 in
-          Netsim.Net.send net ~src ~dst (payload ~k ~src ~dst ~len);
-          []
-        | Step ->
-          Netsim.Net.step net;
-          []
-        | Recv dst -> strings (Netsim.Net.recv net ~dst)
-        | Recv_from (dst, src) ->
-          List.map (fun b -> (src, Bytes.to_string b)) (Netsim.Net.recv_from net ~dst ~src)
-        | Recv_one (dst, src) -> (
-          match Netsim.Net.recv_one net ~dst ~src with
-          | None -> []
-          | Some b -> [ (src, Bytes.to_string b) ])
-        | Peek dst -> strings (Netsim.Net.peek net ~dst))
-      ops
-  in
-  (* Undrained inboxes are state too. *)
-  let leftovers = List.init n (fun dst -> strings (Netsim.Net.recv net ~dst)) in
-  (log, leftovers, observe net)
-
-let gen_ops n =
-  QCheck.Gen.(
-    list_size (int_range 1 60)
-      (frequency
-         [
-           ( 6,
-             map
-               (fun (s, d, l) -> Send (s, d, l))
-               (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 10)) );
-           (2, return Step);
-           (1, map (fun d -> Recv d) (int_bound (n - 1)));
-           (1, map (fun (d, s) -> Recv_from (d, s)) (pair (int_bound (n - 1)) (int_bound (n - 1))));
-           (1, map (fun (d, s) -> Recv_one (d, s)) (pair (int_bound (n - 1)) (int_bound (n - 1))));
-           (1, map (fun d -> Peek d) (int_bound (n - 1)));
-         ]))
-
-let prop_op_script_backends_identical =
-  let n = 7 in
-  QCheck.Test.make ~count:150 ~name:"op script: dense and sparse byte-identical"
-    (QCheck.make (gen_ops n))
-    (fun ops -> execute ~backend:Netsim.Net.Dense n ops = execute ~backend:Netsim.Net.Sparse n ops)
-
-(* The run_round driver over both backends and jobs 1/2/8: the sharded
-   compute phase must not observe (or perturb) backend representation. *)
-let round_payload ~round ~src ~dst = Bytes.of_string (Printf.sprintf "r%d.s%d.d%d" round src dst)
-
-let execute_rounds ~backend ?pool n plan =
-  let net = Netsim.Net.create ~backend n in
-  let all = List.init n (fun i -> i) in
-  let trace =
-    List.mapi
-      (fun r per_party ->
-        let inboxes =
-          Netsim.Net.run_round ?pool net ~parties:all (fun p ->
-              let me = Netsim.Net.Party.id p in
-              let inbox = Netsim.Net.Party.recv p in
-              List.iter
-                (fun dst -> Netsim.Net.Party.send p ~dst (round_payload ~round:r ~src:me ~dst))
-                per_party.(me);
-              inbox)
-        in
-        Netsim.Net.step net;
-        inboxes)
-      plan
-  in
-  let leftovers = List.map (fun dst -> Netsim.Net.recv net ~dst) all in
-  (trace, leftovers, observe net)
-
-let prop_run_round_backends_identical =
-  let n = 9 in
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 1 4) (list_size (int_bound 25) (pair (int_bound (n - 1)) (int_bound (n - 1)))))
-  in
-  QCheck.Test.make ~count:40 ~name:"run_round: backends x jobs 1/2/8 byte-identical"
-    (QCheck.make gen)
-    (fun rounds ->
-      let plan =
-        List.map
-          (fun sends ->
-            let per = Array.make n [] in
-            List.iter
-              (fun (src, dst0) ->
-                let dst = if dst0 = src then (src + 1) mod n else dst0 in
-                per.(src) <- dst :: per.(src))
-              sends;
-            Array.map List.rev per)
-          rounds
-      in
-      let reference = execute_rounds ~backend:Netsim.Net.Dense n plan in
-      List.for_all
-        (fun pool ->
-          List.for_all
-            (fun backend -> execute_rounds ~backend ?pool n plan = reference)
-            backends)
-        (all_pools ()))
-
-(* ---- Protocol differentials -------------------------------------- *)
+(* Run a protocol on a fresh net per jobs count, same seed everywhere,
+   and check each run against the pin. *)
+let pinned ~name ~n expected (f : pool:Util.Pool.t option -> Netsim.Net.t -> Util.Prng.t -> string)
+    =
+  List.iter
+    (fun pool ->
+      let net = Netsim.Net.create n in
+      let outs = f ~pool net (Util.Prng.create 42) in
+      check_pin name expected (measure net outs))
+    (all_pools ())
 
 let params ?(alpha = 3) n h = Mpc.Params.make ~n ~h ~lambda:8 ~alpha ()
 
-(* Run a protocol against a fresh net per (backend, jobs) combination —
-   same seed everywhere — and require every (result, observables) pair to
-   equal the dense sequential reference. *)
-let differential ~name ~n (f : pool:Util.Pool.t option -> Netsim.Net.t -> Util.Prng.t -> 'a) =
-  let run backend pool =
-    let net = Netsim.Net.create ~backend n in
-    let rng = Util.Prng.create 42 in
-    let r = f ~pool net rng in
-    (r, observe net)
-  in
-  let reference = run Netsim.Net.Dense None in
-  List.iter
-    (fun pool ->
-      List.iter
-        (fun backend -> checkb name true (run backend pool = reference))
-        backends)
-    (all_pools ())
+let rumors l = String.concat "," (List.map (fun (o, v) -> Printf.sprintf "%d=%S" o (Bytes.to_string v)) l)
+let view v = ints v.Mpc.Committee.committee ^ if v.Mpc.Committee.elected then " elected" else ""
 
-(* Iset-valued outcomes are normalized to sorted lists before comparison
-   (outcome {e contents} are the contract, AVL shape is not). *)
-let norm_iset_outs outs =
-  Array.to_list outs
-  |> List.map (function
-       | Mpc.Outcome.Output s -> Ok (Util.Iset.to_sorted_list s)
-       | Mpc.Outcome.Abort r -> Error r)
-
-let test_sparse_network_differential () =
+let test_sparse_network () =
   let n = 48 and h = 16 in
   let rng0 = Util.Prng.create 9 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  differential ~name:"sparse_network honest" ~n (fun ~pool net rng ->
-      norm_iset_outs
+  pinned ~name:"sparse_network honest" ~n
+    { bits = 13440; messages = 1680; rounds = 1; locality = 47; digest = "505b6fd45e8923fc" }
+    (fun ~pool net rng ->
+      outcomes iset
         (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
            ~adv:Mpc.Sparse_network.honest_adv))
 
-let test_sparse_network_flood_differential () =
-  (* The flooding adversary trips the 2d inbox bound, so abort paths and
-     the Flooded reason string must also be backend-independent. *)
+let test_sparse_network_flood () =
+  (* The flooding adversary trips the 2d inbox bound, so the abort paths
+     and the Flooded reason strings are pinned too. *)
   let n = 40 and h = 8 in
   let victim = 5 in
   let rng0 = Util.Prng.create 88 in
   let corruption = Netsim.Corruption.targeting rng0 ~n ~h ~victim in
-  differential ~name:"sparse_network flood" ~n (fun ~pool net rng ->
-      norm_iset_outs
+  pinned ~name:"sparse_network flood" ~n
+    { bits = 12480; messages = 1560; rounds = 1; locality = 39; digest = "03343d0ac8f632be" }
+    (fun ~pool net rng ->
+      outcomes iset
         (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
            ~adv:(Mpc.Attacks.flood_victim ~victim)))
 
 let ring_graph n degree =
   Array.init n (fun i -> Util.Iset.of_list (List.init degree (fun k -> (i + k + 1) mod n)))
 
-let test_gossip_differential () =
+let test_gossip () =
   let n = 32 and h = 16 in
   let graph = ring_graph n 4 in
   let sources = [ (0, Bytes.of_string "alpha"); (7, Bytes.of_string "beta") ] in
   let corruption = Netsim.Corruption.none ~n in
-  differential ~name:"gossip honest" ~n (fun ~pool net rng ->
-      Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption
-        ~adv:Mpc.Gossip.honest_adv)
+  pinned ~name:"gossip honest" ~n
+    { bits = 17408; messages = 256; rounds = 9; locality = 8; digest = "afeb07b2200d48c4" }
+    (fun ~pool net rng ->
+      outcomes rumors
+        (Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption
+           ~adv:Mpc.Gossip.honest_adv))
 
-let test_gossip_adversarial_differential () =
+let test_gossip_adversarial () =
   let n = 32 and h = 8 in
   let graph = ring_graph n 4 in
   let sources = [ (0, Bytes.of_string "alpha"); (3, Bytes.of_string "beta") ] in
   let rng0 = Util.Prng.create 17 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
   List.iter
-    (fun (label, adv) ->
-      differential ~name:("gossip " ^ label) ~n (fun ~pool net rng ->
-          Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption ~adv))
+    (fun (label, expected, adv) ->
+      pinned ~name:("gossip " ^ label) ~n expected (fun ~pool net rng ->
+          outcomes rumors
+            (Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption ~adv)))
     [
-      ("equivocate", Mpc.Attacks.gossip_equivocate);
-      ("forge", Mpc.Attacks.gossip_forge ~origin:0 ~value:(Bytes.of_string "forged"));
+      ("equivocate",
+        { bits = 13888; messages = 200; rounds = 9; locality = 8; digest = "64f246727d8cb8af" },
+        Mpc.Attacks.gossip_equivocate);
+      ("forge",
+        { bits = 24928; messages = 408; rounds = 9; locality = 8; digest = "6bc561301fc442d8" },
+        Mpc.Attacks.gossip_forge ~origin:0 ~value:(Bytes.of_string "forged"));
     ]
 
-let test_committee_differential () =
+let test_committee () =
   let n = 64 and h = 32 in
   let rng0 = Util.Prng.create 5 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
   List.iter
-    (fun (label, adv) ->
-      differential ~name:("committee " ^ label) ~n (fun ~pool net rng ->
-          Mpc.Committee.run ?pool net rng (params ~alpha:2 n h) ~corruption ~adv))
-    [ ("honest", Mpc.Committee.honest_adv); ("claim-all", Mpc.Attacks.claim_all) ]
+    (fun (label, expected, adv) ->
+      pinned ~name:("committee " ^ label) ~n expected (fun ~pool net rng ->
+          outcomes view (Mpc.Committee.run ?pool net rng (params ~alpha:2 n h) ~corruption ~adv)))
+    [
+      ("honest",
+        { bits = 13376; messages = 639; rounds = 3; locality = 63; digest = "36b490c1d44cca32" },
+        Mpc.Committee.honest_adv);
+      ("claim-all",
+        { bits = 24776; messages = 3097; rounds = 3; locality = 63; digest = "8cab67fc7922f3a9" },
+        Mpc.Attacks.claim_all);
+    ]
 
-let test_local_committee_differential () =
+let test_local_committee () =
   let n = 36 and h = 18 in
   let rng0 = Util.Prng.create 11 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  differential ~name:"local_committee" ~n (fun ~pool net rng ->
+  pinned ~name:"local_committee" ~n
+    { bits = 967832; messages = 4386; rounds = 6; locality = 35; digest = "9e415111b2c69d06" }
+    (fun ~pool net rng ->
       let r =
         Mpc.Local_committee.run ?pool net rng (params ~alpha:2 n h) ~corruption
           ~adv:Mpc.Local_committee.honest_adv
       in
-      (Array.to_list r.Mpc.Local_committee.views,
-       List.map Util.Iset.to_sorted_list (Array.to_list r.Mpc.Local_committee.graph)))
+      outcomes view r.Mpc.Local_committee.views
+      ^ "\ngraph:"
+      ^ String.concat ";" (Array.to_list (Array.map iset r.Mpc.Local_committee.graph)))
 
-let test_theorem2_differential () =
-  (* The deepest stack over the backend: routing + two gossip phases +
+let test_theorem2 () =
+  (* The deepest stack over the network: routing + two gossip phases +
      threshold decryption, end to end. *)
   let n = 24 and h = 12 in
   let config =
@@ -280,26 +188,27 @@ let test_theorem2_differential () =
   let inputs = Array.init n (fun i -> i land 1) in
   let rng0 = Util.Prng.create 23 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  differential ~name:"theorem2" ~n (fun ~pool net rng ->
-      Mpc.Local_mpc.run_theorem2 ?pool net rng config ~corruption ~inputs
-        ~adv:Mpc.Local_mpc.honest_theorem2_adv)
+  pinned ~name:"theorem2" ~n
+    { bits = 29954256; messages = 3012; rounds = 7; locality = 22; digest = "1e93da2cfb72d06e" }
+    (fun ~pool net rng ->
+      outcomes
+        (fun b -> Printf.sprintf "%S" (Bytes.to_string b))
+        (Mpc.Local_mpc.run_theorem2 ?pool net rng config ~corruption ~inputs
+           ~adv:Mpc.Local_mpc.honest_theorem2_adv))
 
-let test_dense_sparse_at_scale () =
-  (* The largest n the dense backend still handles comfortably: one
-     honest Algorithm 5 execution at n = 2048 must agree between the
-     backends on outcomes and every counter. *)
+let test_at_scale () =
+  (* One honest Algorithm 5 execution at n = 2048, the largest n the
+     dense representation handled comfortably. *)
   let n = 2048 and h = 512 in
   let corruption = Netsim.Corruption.none ~n in
-  let run backend =
-    let net = Netsim.Net.create ~backend n in
-    let rng = Util.Prng.create 7 in
-    let outs =
-      Mpc.Sparse_network.run net rng (params ~alpha:2 n h) ~corruption
-        ~adv:Mpc.Sparse_network.honest_adv
-    in
-    (norm_iset_outs outs, observe net)
+  let net = Netsim.Net.create n in
+  let outs =
+    Mpc.Sparse_network.run net (Util.Prng.create 7) (params ~alpha:2 n h) ~corruption
+      ~adv:Mpc.Sparse_network.honest_adv
   in
-  checkb "n=2048 dense = sparse" true (run Netsim.Net.Dense = run Netsim.Net.Sparse)
+  check_pin "n=2048"
+    { bits = 999424; messages = 124928; rounds = 1; locality = 148; digest = "be1dd65ce6c1280f" }
+    (measure net (outcomes iset outs))
 
 (* ---- Streaming connectivity vs the BFS reference ------------------ *)
 
@@ -371,7 +280,7 @@ let test_union_find_matches_bfs () =
   in
   List.iter
     (fun (h, seed, corruption) ->
-      let net = Netsim.Net.create ~backend:Netsim.Net.Sparse n in
+      let net = Netsim.Net.create n in
       let rng = Util.Prng.create seed in
       let adv =
         if Netsim.Corruption.num_corrupted corruption > 0 && seed mod 3 = 0 then
@@ -392,15 +301,15 @@ let test_run_iter_matches_run () =
   let rng0 = Util.Prng.create 13 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
   let reference =
-    let net = Netsim.Net.create ~backend:Netsim.Net.Sparse n in
+    let net = Netsim.Net.create n in
     let rng = Util.Prng.create 3 in
-    norm_iset_outs
+    outcomes iset
       (Mpc.Sparse_network.run net rng (params n h) ~corruption
          ~adv:Mpc.Sparse_network.honest_adv)
   in
   List.iter
     (fun pool ->
-      let net = Netsim.Net.create ~backend:Netsim.Net.Sparse n in
+      let net = Netsim.Net.create n in
       let rng = Util.Prng.create 3 in
       let seen = ref [] in
       Mpc.Sparse_network.run_iter ?pool net rng (params n h) ~corruption
@@ -408,27 +317,22 @@ let test_run_iter_matches_run () =
       let ordered = List.rev !seen in
       checkb "run_iter visits 0..n-1 in order" true (List.map fst ordered = List.init n Fun.id);
       checkb "run_iter outcomes match run" true
-        (norm_iset_outs (Array.of_list (List.map snd ordered)) = reference))
+        (outcomes iset (Array.of_list (List.map snd ordered)) = reference))
     (all_pools ())
 
 let () =
   Alcotest.run "net_sparse"
     [
-      ( "model",
-        [
-          QCheck_alcotest.to_alcotest prop_op_script_backends_identical;
-          QCheck_alcotest.to_alcotest prop_run_round_backends_identical;
-        ] );
       ( "protocols",
         [
-          Alcotest.test_case "sparse_network honest" `Quick test_sparse_network_differential;
-          Alcotest.test_case "sparse_network flood" `Quick test_sparse_network_flood_differential;
-          Alcotest.test_case "gossip honest" `Quick test_gossip_differential;
-          Alcotest.test_case "gossip adversarial" `Quick test_gossip_adversarial_differential;
-          Alcotest.test_case "committee" `Quick test_committee_differential;
-          Alcotest.test_case "local committee" `Quick test_local_committee_differential;
-          Alcotest.test_case "theorem2" `Quick test_theorem2_differential;
-          Alcotest.test_case "n=2048 at scale" `Slow test_dense_sparse_at_scale;
+          Alcotest.test_case "sparse_network honest" `Quick test_sparse_network;
+          Alcotest.test_case "sparse_network flood" `Quick test_sparse_network_flood;
+          Alcotest.test_case "gossip honest" `Quick test_gossip;
+          Alcotest.test_case "gossip adversarial" `Quick test_gossip_adversarial;
+          Alcotest.test_case "committee" `Quick test_committee;
+          Alcotest.test_case "local committee" `Quick test_local_committee;
+          Alcotest.test_case "theorem2" `Quick test_theorem2;
+          Alcotest.test_case "n=2048 at scale" `Slow test_at_scale;
         ] );
       ( "streaming",
         [

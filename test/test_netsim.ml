@@ -168,16 +168,22 @@ let test_messages_cross_rounds () =
 (* Reference model: the original implementation kept one pending list in
    send order and, at [step], stable-sorted it by sender id before
    appending to each recipient's inbox list; [recv_from] partitioned the
-   inbox.  The rewritten simulator must be observationally identical. *)
+   inbox.  Peers are a plain set per party.  The simulator must be
+   observationally identical. *)
 module Model = struct
   type t = {
     n : int;
     mutable pending : (int * int * bytes) list; (* reverse send order *)
     inbox : (int * bytes) list array;
+    peers : Util.Iset.t array;
   }
 
-  let create n = { n; pending = []; inbox = Array.make n [] }
-  let send t ~src ~dst payload = t.pending <- (src, dst, payload) :: t.pending
+  let create n = { n; pending = []; inbox = Array.make n []; peers = Array.make n Util.Iset.empty }
+
+  let send t ~src ~dst payload =
+    t.pending <- (src, dst, payload) :: t.pending;
+    t.peers.(src) <- Util.Iset.add dst t.peers.(src);
+    t.peers.(dst) <- Util.Iset.add src t.peers.(dst)
 
   let step t =
     let msgs = List.rev t.pending in
@@ -195,6 +201,7 @@ module Model = struct
     t.inbox.(dst) <- rest;
     List.map snd mine
 
+  let recv_one t ~dst ~src = match recv_from t ~dst ~src with [ v ] -> Some v | _ -> None
   let peek t ~dst = t.inbox.(dst)
 end
 
@@ -203,17 +210,22 @@ type op =
   | Step
   | Recv of int
   | Recv_from of int * int (* dst, src *)
+  | Recv_one of int * int (* dst, src *)
   | Peek of int
 
-let gen_op n =
+(* [hubs] parties (ids below it) send three in four messages, so at large
+   n they collect enough peers to switch peer-table layout mid-script. *)
+let gen_op ?(hubs = 0) n =
   let open QCheck.Gen in
   let party = int_bound (n - 1) in
+  let endpoint = if hubs = 0 then party else frequency [ (3, int_bound (hubs - 1)); (1, party) ] in
   frequency
     [
-      (5, map3 (fun src dst len -> Send (src, dst, len)) party party (int_bound 8));
+      (5, map3 (fun src dst len -> Send (src, dst, len)) endpoint party (int_bound 8));
       (2, return Step);
       (2, map (fun dst -> Recv dst) party);
-      (3, map2 (fun dst src -> Recv_from (dst, src)) party party);
+      (3, map2 (fun dst src -> Recv_from (dst, src)) endpoint party);
+      (2, map2 (fun dst src -> Recv_one (dst, src)) endpoint party);
       (1, map (fun dst -> Peek dst) party);
     ]
 
@@ -243,12 +255,23 @@ let run_ops n ops =
       | Recv dst -> check_eq (Netsim.Net.recv net ~dst) (Model.recv m ~dst)
       | Recv_from (dst, src) ->
         check_eq (Netsim.Net.recv_from net ~dst ~src) (Model.recv_from m ~dst ~src)
+      | Recv_one (dst, src) ->
+        check_eq (Netsim.Net.recv_one net ~dst ~src) (Model.recv_one m ~dst ~src)
       | Peek dst -> check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst))
     ops;
-  (* Whatever is still undrained must also agree. *)
-  for dst = 0 to n - 1 do
-    check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst)
+  (* Whatever is still undrained must also agree, sender by sender, as
+     must every peer set. *)
+  for i = 0 to n - 1 do
+    check_eq (Netsim.Net.peek net ~dst:i) (Model.peek m ~dst:i);
+    List.iter
+      (fun src -> check_eq (Netsim.Net.recv_from net ~dst:i ~src) (Model.recv_from m ~dst:i ~src))
+      (List.sort_uniq compare (List.map fst (Model.peek m ~dst:i)));
+    check_eq (Netsim.Net.peek net ~dst:i) [];
+    check_eq (Util.Iset.elements (Netsim.Net.peers net i)) (Util.Iset.elements m.Model.peers.(i));
+    check_eq (Netsim.Net.locality net i) (Util.Iset.cardinal m.Model.peers.(i))
   done;
+  check_eq (Netsim.Net.max_locality net)
+    (Array.fold_left (fun acc s -> max acc (Util.Iset.cardinal s)) 0 m.Model.peers);
   (* Accounting invariants: counters equal the op-by-op tallies, and
      snapshots diff to zero against themselves. *)
   let snap = Netsim.Net.snapshot net in
@@ -268,6 +291,61 @@ let prop_matches_reference =
   QCheck.Test.make ~count:500 ~name:"bucketed net ≡ list-based reference"
     (QCheck.make QCheck.Gen.(list_size (int_bound 120) (gen_op n)))
     (fun ops -> run_ops n ops)
+
+(* At n = 300 a peer table has 64 hashed slots up to 48 peers, 128 up to
+   96, and is direct from 97 on, so the hub party's table grows and
+   usually switches layout, mostly with mail still queued; at n = 5 every
+   table is direct from its first peer. *)
+let prop_matches_reference_switch =
+  let n = 300 in
+  QCheck.Test.make ~count:100 ~name:"bucketed net ≡ list-based reference, n=300 hub"
+    (QCheck.make QCheck.Gen.(list_size (int_range 400 800) (gen_op ~hubs:1 n)))
+    (fun ops -> run_ops n ops)
+
+(* One party goes from 0 to n-1 peers, one peer per round, without
+   draining: its peer table grows from 64 to 128 slots at the 49th peer
+   and switches to the direct layout at the 97th, each time with
+   undrained mail from every earlier peer. *)
+let test_peer_table_switch () =
+  let n = 300 in
+  let net = Netsim.Net.create n in
+  let payload k m = msg (Printf.sprintf "%d.%d" k m) in
+  (* Peer k sends k mod 3 messages (none for multiples of 3, which become
+     peers by receiving instead). *)
+  for k = 1 to n - 1 do
+    if k mod 3 = 0 then Netsim.Net.send net ~src:0 ~dst:k (payload 0 k)
+    else
+      for m = 1 to k mod 3 do
+        Netsim.Net.send net ~src:k ~dst:0 (payload k m)
+      done;
+    Netsim.Net.step net;
+    checki (Printf.sprintf "locality after %d" k) k (Netsim.Net.locality net 0);
+    checki (Printf.sprintf "max locality after %d" k) k (Netsim.Net.max_locality net)
+  done;
+  checkb "peers are everyone else" true
+    (Util.Iset.equal (Netsim.Net.peers net 0) (Util.Iset.range 1 (n - 1)));
+  checki "undrained mail" (100 + (100 * 2)) (List.length (Netsim.Net.peek net ~dst:0));
+  let strings = List.map Bytes.to_string in
+  Alcotest.(check (list string)) "recv_from a two-message peer" [ "2.1"; "2.2" ]
+    (strings (Netsim.Net.recv_from net ~dst:0 ~src:2));
+  Alcotest.(check (option string)) "recv_one a one-message peer" (Some "1.1")
+    (Option.map Bytes.to_string (Netsim.Net.recv_one net ~dst:0 ~src:1));
+  Alcotest.(check (option string)) "recv_one a two-message peer" None
+    (Option.map Bytes.to_string (Netsim.Net.recv_one net ~dst:0 ~src:299));
+  Alcotest.(check (list string)) "recv_one drained it" []
+    (strings (Netsim.Net.recv_from net ~dst:0 ~src:299));
+  Alcotest.(check (option string)) "recv_one a receive-only peer" None
+    (Option.map Bytes.to_string (Netsim.Net.recv_one net ~dst:0 ~src:3));
+  let expected =
+    List.concat_map
+      (fun k ->
+        if List.mem k [ 1; 2; 299 ] then []
+        else List.init (k mod 3) (fun m -> (k, Printf.sprintf "%d.%d" k (m + 1))))
+      (List.init (n - 1) succ)
+  in
+  Alcotest.(check (list (pair int string))) "recv: the rest, in sender order" expected
+    (List.map (fun (s, b) -> (s, Bytes.to_string b)) (Netsim.Net.recv net ~dst:0));
+  checki "peers survive draining" (n - 1) (Netsim.Net.locality net 0)
 
 (* ---- Corruption ---- *)
 
@@ -411,6 +489,8 @@ let () =
           Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
           Alcotest.test_case "messages accumulate" `Quick test_messages_cross_rounds;
           QCheck_alcotest.to_alcotest prop_matches_reference;
+          QCheck_alcotest.to_alcotest prop_matches_reference_switch;
+          Alcotest.test_case "peer table switch keeps queued mail" `Quick test_peer_table_switch;
         ] );
       ( "watchdog",
         [

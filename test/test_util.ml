@@ -661,11 +661,10 @@ let test_stats_histogram () =
   checki "bins" 2 (List.length h);
   checki "total count" 5 (List.fold_left (fun a (_, c) -> a + c) 0 h)
 
-(* ---- Iset / Imap / Intset ---- *)
+(* ---- Iset / Imap ---- *)
 
 (* Ids spanning the whole usable range: dense protocol-scale ids, giant-
-   tier party ids (10^5..10^6), and near-max outliers.  The streaming
-   backend keys all its per-party state by such ids, so membership and
+   tier party ids (10^5..10^6), and near-max outliers.  Membership and
    iteration must not degrade or collide far outside the dense range. *)
 let gen_sparse_ids =
   QCheck.Gen.(
@@ -676,44 +675,6 @@ let gen_sparse_ids =
            map (fun k -> 100_000 + k) (int_bound 1_000_000);
            map (fun k -> (1 lsl 50) + k) (int_bound 1000);
          ]))
-
-module Int_set_ref = Set.Make (Int)
-
-let prop_intset_matches_reference =
-  QCheck.Test.make ~count:300 ~name:"Intset: add/mem/cardinal/iteration match Set"
-    (QCheck.make gen_sparse_ids)
-    (fun ids ->
-      let t = Util.Intset.create () in
-      List.iter (Util.Intset.add t) ids;
-      let reference = Int_set_ref.of_list ids in
-      Util.Intset.cardinal t = Int_set_ref.cardinal reference
-      && Util.Intset.to_sorted_list t = Int_set_ref.elements reference
-      && List.for_all (fun v -> Util.Intset.mem t v) ids
-      && (not (Util.Intset.mem t (-1)))
-      && List.sort compare (Util.Intset.fold (fun v acc -> v :: acc) t [])
-         = Int_set_ref.elements reference
-      && Util.Iset.to_sorted_list (Util.Intset.to_iset t) = Int_set_ref.elements reference)
-
-let test_intset_negative_rejected () =
-  let t = Util.Intset.create () in
-  (try
-     Util.Intset.add t (-3);
-     Alcotest.fail "negative add must raise"
-   with Invalid_argument _ -> ());
-  checkb "mem of negative" false (Util.Intset.mem t (-3))
-
-let test_intset_sequential_growth () =
-  (* Sequential ids are the worst case for a weak hash (one clustered
-     probe run); 10^4 of them must stay exact through many doublings. *)
-  let t = Util.Intset.create () in
-  for v = 0 to 9_999 do
-    Util.Intset.add t v;
-    Util.Intset.add t v
-  done;
-  checki "cardinal after dups" 10_000 (Util.Intset.cardinal t);
-  checkb "all present" true
-    (List.for_all (fun v -> Util.Intset.mem t v) (List.init 10_000 Fun.id));
-  checkb "absent stays absent" false (Util.Intset.mem t 10_000)
 
 let prop_iset_large_ids =
   QCheck.Test.make ~count:200 ~name:"Iset: union/inter/mem at ids >> 10^5"
@@ -845,9 +806,6 @@ let () =
         [
           Alcotest.test_case "iset range" `Quick test_iset_range;
           Alcotest.test_case "imap multi" `Quick test_imap_multi;
-          QCheck_alcotest.to_alcotest prop_intset_matches_reference;
-          Alcotest.test_case "intset rejects negatives" `Quick test_intset_negative_rejected;
-          Alcotest.test_case "intset sequential growth" `Quick test_intset_sequential_growth;
           QCheck_alcotest.to_alcotest prop_iset_large_ids;
           QCheck_alcotest.to_alcotest prop_imap_large_keys;
         ] );
