@@ -169,6 +169,14 @@ let iter_matched ~before ~after f =
   List.iter (fun r -> Hashtbl.replace after_tbl (run_key r) r) after.runs;
   List.iter (fun b -> Option.iter (f b) (Hashtbl.find_opt after_tbl (run_key b))) before.runs
 
+let unmatched ~before ~after =
+  let only_in a b =
+    let keys = Hashtbl.create 64 in
+    List.iter (fun r -> Hashtbl.replace keys (run_key r) ()) b.runs;
+    List.filter (fun r -> not (Hashtbl.mem keys (run_key r))) a.runs
+  in
+  (only_in before after, only_in after before)
+
 let matched_wall_ms ~before ~after =
   let wb = ref 0.0 and wa = ref 0.0 in
   iter_matched ~before ~after (fun b a ->
@@ -280,6 +288,18 @@ let print_diff ~before ~after =
      total wall over the %d matched runs: %.1fs (jobs=%d) -> %.1fs (jobs=%d) (%s)\n"
     matched drifted matched (wall_b /. 1000.0) before.jobs (wall_a /. 1000.0) after.jobs
     (speedup ~before:wall_b ~after:wall_a);
+  (* Rows present on one side only are listed, not gated: CI diffs a
+     quick report against the full baseline on purpose. *)
+  let only_before, only_after = unmatched ~before ~after in
+  List.iter
+    (fun (side, runs) ->
+      if runs <> [] then begin
+        Printf.printf "%d runs only in %s:\n" (List.length runs) side;
+        List.iter
+          (fun r -> Printf.printf "  %s / %s n=%d h=%d\n" r.experiment r.series r.n r.h)
+          runs
+      end)
+    [ ("before", only_before); ("after", only_after) ];
   if before.jobs <> after.jobs then
     Printf.printf
       "note: reports were produced at different --jobs counts (%d vs %d); wall-time\n\

@@ -90,7 +90,13 @@ val diff_table : before:report -> after:report -> Table.t * int * int
     not count. *)
 val matched_wall_ms : before:report -> after:report -> float * float
 
+(** [unmatched ~before ~after] is [(only_before, only_after)]: the runs of
+    each report whose key (experiment/series/n/h) the other report lacks,
+    in report order. *)
+val unmatched : before:report -> after:report -> run list * run list
+
 (** [print_diff ~before ~after] prints the table plus a summary line and
+    the count and keys of the runs present in only one report, and
     returns [(matched, drifted)] so the caller can fail both on
     accounting drift and on a vacuous diff with no comparable runs. *)
 val print_diff : before:report -> after:report -> int * int

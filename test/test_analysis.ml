@@ -471,6 +471,28 @@ let test_bench_io_diff_total_matched_only () =
   Alcotest.(check (float 0.0)) "before total is the shared row's wall" 1.5 wall_b;
   Alcotest.(check (float 0.0)) "after total is the shared row's wall" 3.0 wall_a
 
+(* Rows present in only one report are reported by key on their side,
+   so a diff over different row sets says which rows it could not
+   compare. *)
+let test_bench_io_diff_unmatched_rows () =
+  let keep exp rep =
+    {
+      rep with
+      Analysis.Bench_io.runs =
+        List.filter (fun r -> r.Analysis.Bench_io.experiment = exp) rep.Analysis.Bench_io.runs;
+    }
+  in
+  let ids = List.map (fun r -> r.Analysis.Bench_io.experiment) in
+  let check_unmatched name ~before ~after expected_before expected_after =
+    let only_before, only_after = Analysis.Bench_io.unmatched ~before ~after in
+    Alcotest.(check (list string)) (name ^ ": only before") expected_before (ids only_before);
+    Alcotest.(check (list string)) (name ^ ": only after") expected_after (ids only_after)
+  in
+  check_unmatched "subset" ~before:sample_report ~after:(keep "E9" sample_report) [ "E1" ] [];
+  check_unmatched "disjoint" ~before:(keep "E1" sample_report) ~after:(keep "E9" sample_report)
+    [ "E1" ] [ "E9" ];
+  check_unmatched "self" ~before:sample_report ~after:sample_report [] []
+
 let () =
   Alcotest.run "analysis"
     [
@@ -503,6 +525,8 @@ let () =
           Alcotest.test_case "diff counts drift" `Quick test_bench_io_diff_counts_drift;
           Alcotest.test_case "diff total wall over matched runs" `Quick
             test_bench_io_diff_total_matched_only;
+          Alcotest.test_case "diff reports rows in only one report" `Quick
+            test_bench_io_diff_unmatched_rows;
           Alcotest.test_case "golden /4 fixture byte-stable" `Quick
             test_fixture_v4_golden_roundtrip;
           Alcotest.test_case "legacy /1../3 fixtures load" `Quick
